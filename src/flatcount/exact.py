@@ -1,22 +1,17 @@
 """Exact arithmetic base layer.
 
-Counts are plain Python ints (arbitrary precision, never rounded); exact
-rationals are fractions.Fraction, which keeps values in lowest terms with a
-positive denominator. Rendering a count for output is just str(value):
-decimal digits, no separators.
+Counts are plain Python ints (arbitrary precision, never rounded).
+Rendering a count for output is just str(value): decimal digits, no
+separators.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 # Default truncation order for sequences and triangles; covers every shipped
 # reference table with headroom.
 DEFAULT_ORDER = 12
-
-Nat = int
-Rat = Fraction
 
 
 def factorial(n: int) -> int:

@@ -10,19 +10,23 @@ the flats are provided:
   exactly when height(j) - height(i) lies in [lo, hi];
 
 * the linear-algebra route: close the set of hyperplanes under intersection
-  with exact rational row reduction and count the distinct nonempty affine
+  with exact integer row reduction and count the distinct nonempty affine
   subspaces by dimension.
 
-Both stay deliberately naive; they exist to check the matrix formulas, not
-to be fast. Counts are practical up to about n = 6 for the first route and
-n = 4 for the second.
+Both enumerate every flat, so their cost grows with the number of flats;
+they exist to check the matrix formulas, and the README gives measured
+times. The gain-graph route grows each connected block from one position
+along edges of the gain graph, so it only visits connected height vectors,
+and it counts each partition from per-size block counts. The linear route
+reduces over the integers, which is exact because every pivot of these
+graphic systems is +1 or -1. Both are practical up to about n = 6 and
+n = 5 respectively.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -158,21 +162,52 @@ def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _connected_blocks(members: tuple[int, ...], interval: GainInterval):
-    r = len(members)
-    if r == 1:
-        return (HeightFunction(((members[0], 0),)),)
-    # Any connected block has a spanning tree whose edge gains lie in the
-    # interval, so height differences telescope to at most (r-1) * span;
-    # scanning [0, bound]^r therefore sees every normalized connected class.
-    bound = (r - 1) * interval.span
-    found = []
-    for heights in product(range(bound + 1), repeat=r):
-        if 0 not in heights:
-            continue
-        if _tuple_connected(members, heights, interval):
-            found.append(HeightFunction(tuple(zip(members, heights))))
-    return tuple(found)
+def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...], ...]:
+    """Height vectors of the connected blocks on `size` ordered labels.
+
+    Adjacency depends only on the order of the labels, so the vectors serve
+    every label set of this size. The blocks are grown from position 0 at
+    height 0: each step attaches an unplaced position j to a placed position
+    i through an edge whose gain a lies in the interval, at height h_i + a
+    when i < j and h_i - a otherwise. Every connected block is reached, by
+    attaching along a spanning tree in breadth-first order from position 0;
+    the set of partial assignments drops the other orders that reach it.
+    The result is normalized to minimum 0 and in lexicographic order.
+    """
+    lo, hi = interval.lo, interval.hi
+    level = {(0,) + (None,) * (size - 1)}
+    for _ in range(size - 1):
+        grown = set()
+        for heights in level:
+            placed = [(i, h) for i, h in enumerate(heights) if h is not None]
+            for j, height in enumerate(heights):
+                if height is not None:
+                    continue
+                reach = set()
+                for i, h in placed:
+                    if i < j:
+                        reach.update(range(h + lo, h + hi + 1))
+                    else:
+                        reach.update(range(h - hi, h - lo + 1))
+                head, tail = heights[:j], heights[j + 1 :]
+                grown.update([head + (x,) + tail for x in reach])
+        level = grown
+    blocks = []
+    for heights in level:
+        low = min(heights)
+        blocks.append(tuple(h - low for h in heights))
+    blocks.sort()
+    return tuple(blocks)
+
+
+@lru_cache(maxsize=None)
+def _labelled_blocks(members: tuple[int, ...], interval: GainInterval):
+    """The blocks of _connected_blocks on these sorted labels, built once per
+    label tuple so that repeated requests share one result."""
+    return tuple(
+        HeightFunction(tuple(zip(members, heights)))
+        for heights in _connected_blocks(len(members), interval)
+    )
 
 
 def enumerate_connected_blocks(members, interval: GainInterval) -> tuple[HeightFunction, ...]:
@@ -181,16 +216,17 @@ def enumerate_connected_blocks(members, interval: GainInterval) -> tuple[HeightF
     key = tuple(sorted(set(members)))
     if not key:
         raise ValueError("a block must be nonempty")
-    return _connected_blocks(key, interval)
+    return _labelled_blocks(key, interval)
 
 
 def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[int, int]:
     """Count flats of the interval arrangement by dimension.
 
     Runs over all set partitions of the labels (default [n]) and multiplies
-    the per-block numbers of connected height classes; the dimension of a
-    flat is its number of blocks. The ambient space appears as the all-
-    singletons partition, so the top count is always 1.
+    the per-block numbers of connected height classes, which depend only on
+    the block sizes; the dimension of a flat is its number of blocks. The
+    ambient space appears as the all-singletons partition, so the top count
+    is always 1.
     """
     if labels is None:
         if n < 1:
@@ -200,9 +236,7 @@ def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[in
     for part in set_partitions(labels):
         ways = 1
         for block in part:
-            ways *= len(enumerate_connected_blocks(block, interval))
-            if ways == 0:
-                break
+            ways *= len(_connected_blocks(len(block), interval))
         counts[len(part)] += ways
     return dict(sorted(counts.items()))
 
@@ -223,35 +257,59 @@ def connected_partitions(n: int, interval: GainInterval, labels=None) -> list[Co
     return flats
 
 
+def _pivot(row, ncoords):
+    """Column of the first nonzero coordinate of a row, or None."""
+    for col in range(ncoords):
+        if row[col]:
+            return col
+    return None
+
+
+def _add_row(echelon, pivots, row, ncoords):
+    """Reduced row echelon form of `echelon` (with pivot columns `pivots`)
+    plus one more row, or None when the system becomes inconsistent.
+
+    The row is reduced against the echelon rows; a new pivot must be +1 or
+    -1 (a -1 pivot negates the row), and is then cleared from the rows above.
+    Anything else raises ValueError: this integer elimination is exact only
+    for totally unimodular systems, which graphic rows x_i - x_j = a form.
+    """
+    for base, col in zip(echelon, pivots):
+        factor = row[col]
+        if factor:
+            row = [a - factor * b for a, b in zip(row, base)]
+    col = _pivot(row, ncoords)
+    if col is None:
+        return echelon if row[ncoords] == 0 else None
+    if row[col] == -1:
+        row = [-x for x in row]
+    elif row[col] != 1:
+        raise ValueError(f"pivot {row[col]} in column {col} is not +1 or -1")
+    new = tuple(row)
+    reduced = [
+        tuple(a - base[col] * b for a, b in zip(base, new)) if base[col] else base
+        for base in echelon
+    ]
+    reduced.insert(sum(1 for p in pivots if p < col), new)
+    return tuple(reduced)
+
+
 def _rref(rows, ncoords):
-    """Reduced row echelon form of an augmented system over Fraction.
+    """Reduced row echelon form of an augmented integer system.
 
     Returns the canonical tuple of nonzero rows, or None when the system is
     inconsistent (empty intersection). Pivots are chosen on the lowest-index
-    coordinate columns, so the result is the unique canonical form of the
-    affine subspace.
+    coordinate columns and scaled to 1, so the result is the unique
+    canonical form of the affine subspace. Every pivot must be +1 or -1, as
+    it is for the totally unimodular rows x_i - x_j = a; any other pivot
+    raises ValueError.
     """
-    work = [list(r) for r in rows]
-    pivot_row = 0
-    for col in range(ncoords):
-        for i in range(pivot_row, len(work)):
-            if work[i][col] != 0:
-                break
-        else:
-            continue
-        work[pivot_row], work[i] = work[i], work[pivot_row]
-        pivot = work[pivot_row][col]
-        if pivot != 1:
-            work[pivot_row] = [x / pivot for x in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * b for a, b in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-    for r in range(pivot_row, len(work)):
-        if work[r][ncoords] != 0:
+    echelon = ()
+    for row in rows:
+        echelon = _add_row(echelon, [_pivot(r, ncoords) for r in echelon], row, ncoords)
+        if echelon is None:
             return None
-    return tuple(tuple(row) for row in work[:pivot_row])
+    return echelon
 
 
 def enumerate_flats_linear(n: int, interval: GainInterval) -> dict[int, int]:
@@ -259,8 +317,9 @@ def enumerate_flats_linear(n: int, interval: GainInterval) -> dict[int, int]:
 
     Every flat is an intersection of hyperplanes, so repeatedly intersecting
     known flats with single hyperplanes, starting from the ambient space,
-    reaches exactly the intersection poset. Exact rational arithmetic keeps
-    the canonical forms unambiguous. Intended for small n (roughly n <= 4).
+    reaches exactly the intersection poset. Each flat is kept in its reduced
+    row echelon form over the integers, which is exact here because every
+    pivot is +1 or -1; the canonical forms are therefore unambiguous.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -268,18 +327,19 @@ def enumerate_flats_linear(n: int, interval: GainInterval) -> dict[int, int]:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for a in range(interval.lo, interval.hi + 1):
-                row = [Fraction(0)] * (n + 1)
-                row[i - 1] = Fraction(1)
-                row[j - 1] = Fraction(-1)
-                row[n] = Fraction(a)
-                hyperplanes.append(tuple(row))
+                row = [0] * (n + 1)
+                row[i - 1] = 1
+                row[j - 1] = -1
+                row[n] = a
+                hyperplanes.append(row)
     ambient = ()
     dimensions = {ambient: n}
     queue = deque([ambient])
     while queue:
         base = queue.popleft()
+        pivots = [_pivot(row, n) for row in base]
         for plane in hyperplanes:
-            candidate = _rref(list(base) + [plane], n)
+            candidate = _add_row(base, pivots, plane, n)
             if candidate is None or candidate in dimensions:
                 continue
             dimensions[candidate] = n - len(candidate)

@@ -186,6 +186,16 @@ def test_verify_linear(capsys):
     assert "ok linear A=[-1,2] n<=3" in out
 
 
+def test_verify_linear_cap(capsys):
+    code, out, _ = run(["verify", "--n-max", "5", "--linear"], capsys)
+    assert code == 0
+    assert "ok linear A=[-1,2] n<=5" in out
+    # Beyond n = 5 only the gain-graph oracle runs.
+    code, out, _ = run(["verify", "--n-max", "6", "--m-max", "0", "--linear"], capsys)
+    assert code == 0
+    assert "ok linear A=[-1,2] n<=5" in out
+
+
 def test_verify_reports_injected_fault(capsys, monkeypatch):
     def fault(family, m, n, column):
         if family == "catalan" and m == 1 and n == 3:

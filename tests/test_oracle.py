@@ -11,6 +11,7 @@ from flatcount.oracle import (
     enumerate_flats_gain,
     enumerate_flats_linear,
     is_connected_block,
+    _rref,
 )
 from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import TRIANGLES_5
@@ -71,6 +72,43 @@ def test_enumerate_connected_blocks_sorted_and_cached():
     vectors = [tuple(h for _, h in b.items) for b in blocks]
     assert vectors == sorted(vectors)
     assert blocks is enumerate_connected_blocks((1, 2), GainInterval(-1, 1))
+
+
+def _scanned_blocks(labels, interval):
+    """Height vectors of the connected blocks on the labels, found by scanning
+    every normalized vector up to the spanning-tree bound (r - 1) * span."""
+    bound = (len(labels) - 1) * interval.span
+    return [
+        heights
+        for heights in product(range(bound + 1), repeat=len(labels))
+        if 0 in heights and is_connected_block(hf(dict(zip(labels, heights))), interval)
+    ]
+
+
+def _grown_blocks(labels, interval):
+    blocks = enumerate_connected_blocks(labels, interval)
+    assert all(b.labels == tuple(sorted(labels)) for b in blocks)
+    return [tuple(h for _, h in b.items) for b in blocks]
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 0), (-1, 1), (-2, 2), (0, 1), (-1, 2), (-2, 3), (1, 2), (-2, -1)]
+)
+def test_grown_blocks_match_grid_scan(lo, hi):
+    interval = GainInterval(lo, hi)
+    for r in range(1, 6):
+        labels = tuple(range(1, r + 1))
+        assert _grown_blocks(labels, interval) == _scanned_blocks(labels, interval)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_grown_blocks_on_scattered_labels_shi(m):
+    # Shi gains are asymmetric, so the heights must land on the labels in
+    # their sorted order, whatever order the labels are given in.
+    interval = GainInterval.shi(m)
+    expected = _scanned_blocks((3, 12, 25, 40), interval)
+    assert _grown_blocks((3, 12, 25, 40), interval) == expected
+    assert _grown_blocks([40, 3, 25, 12], interval) == expected
 
 
 def test_flats_gain_small_cases():
@@ -178,6 +216,22 @@ def test_flats_linear_matches_gain():
     for interval in (GainInterval(-1, 1), GainInterval(0, 1)):
         for n in range(1, 4):
             assert enumerate_flats_linear(n, interval) == enumerate_flats_gain(n, interval)
+
+
+@pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 1), (-1, 2)])
+def test_flats_linear_at_n5(lo, hi):
+    interval = GainInterval(lo, hi)
+    counts = enumerate_flats_linear(5, interval)
+    assert counts == enumerate_flats_gain(5, interval)
+    if lo == -hi:
+        assert tuple(counts[k] for k in range(1, 6)) == catalan_triangle(hi, 5).column(5)
+
+
+def test_rref_integer_pivots():
+    with pytest.raises(ValueError):
+        _rref([(2, 1)], 1)  # 2 x_1 = 1 needs a rational row reduction
+    assert _rref([(1, -1, 3), (-1, 1, 2)], 2) is None
+    assert _rref([(0, -1, 2), (1, -1, 0)], 2) == ((1, 0, -2), (0, 1, -2))
 
 
 def test_flats_linear_shi_row():
