@@ -13,8 +13,6 @@ from .species import (
     CountSeq,
     bell_transform,
     complete_bell,
-    compose,
-    iterate_compose,
     partial_bell,
     seq_cycles_nonempty,
     seq_k_set,

@@ -8,16 +8,21 @@ Subcommands:
     verify   cross-check the matrix formulas against the oracles
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument error,
-3 expression error. All numeric output is exact decimal. Computed
-triangles can be memoized on disk by setting FLATCOUNT_CACHE_DIR; the
-cache never changes results.
+3 expression error, 141 (128 + SIGPIPE) output pipe closed by the reader.
+All numeric output is exact decimal. Computed triangles can be memoized on
+disk by setting FLATCOUNT_CACHE_DIR; the cache never changes results. Each
+cache file ends in a CRC-32 of its rows: a file that fails it is recomputed
+and rewritten, and a cache that cannot be written is skipped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
+import tempfile
+import zlib
 from dataclasses import dataclass
 
 from .dsl import ParseError, evaluate_text
@@ -66,21 +71,62 @@ def formula_triangle(family: str, m: int, size: int) -> Triangle:
     if not cache_dir:
         return _compute_triangle(family, m, size)
     path = os.path.join(cache_dir, f"{family}-m{m}-N{size}.tsv")
-    try:
-        with open(path, encoding="utf-8") as handle:
-            rows = tuple(
-                tuple(int(cell) for cell in line.split("\t"))
-                for line in handle.read().splitlines()
-            )
-        return Triangle(rows)
-    except (OSError, ValueError):
-        pass
-    triangle = _compute_triangle(family, m, size)
-    os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in triangle.rows:
-            handle.write("\t".join(str(v) for v in row) + "\n")
+    triangle = _read_cache(path, size)
+    if triangle is None:
+        triangle = _compute_triangle(family, m, size)
+        _write_cache(cache_dir, path, triangle)
     return triangle
+
+
+# A cache file is the triangle's rows as tab-separated lines, then this tag
+# and the CRC-32 of those lines in hex. Both directions stream one line at a
+# time, so the file is never held whole in memory next to the triangle.
+_CHECKSUM_TAG = b"crc32 "
+
+
+def _read_cache(path: str, size: int):
+    """The cached triangle, or None if the file is missing, unreadable,
+    fails its checksum or does not hold a size x size triangle."""
+    rows, crc = [], 0
+    try:
+        with open(path, "rb") as handle:
+            for line in handle:
+                if line.startswith(_CHECKSUM_TAG):
+                    if line != _CHECKSUM_TAG + b"%08x\n" % crc or handle.read(1):
+                        return None
+                    break
+                crc = zlib.crc32(line, crc)
+                rows.append(tuple(int(cell) for cell in line.split(b"\t")))
+            else:
+                return None  # no checksum line
+        triangle = Triangle(tuple(rows))
+    except (OSError, ValueError):
+        return None
+    return triangle if triangle.size == size else None
+
+
+def _write_cache(cache_dir: str, path: str, triangle: Triangle) -> None:
+    """Write the triangle to path through a temporary file and a rename, so
+    a reader never sees a partial file. Any OSError leaves the cache as it
+    was: the cache is then simply not used."""
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+    except OSError:
+        return
+    try:
+        crc = 0
+        with os.fdopen(fd, "wb") as handle:
+            for row in triangle.rows:
+                line = ("\t".join(map(str, row)) + "\n").encode()
+                crc = zlib.crc32(line, crc)
+                handle.write(line)
+            handle.write(_CHECKSUM_TAG + b"%08x\n" % crc)
+        os.chmod(tmp, 0o644)  # mkstemp makes it owner-only
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
 
 
 def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
@@ -340,4 +386,14 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`flatcount verify | head -1`). Point
+        # stdout at devnull so the flush at interpreter exit cannot raise
+        # again, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE
+    sys.exit(code)

@@ -15,6 +15,7 @@ are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .exact import DEFAULT_ORDER, binomial, factorial
 from .triangles import Triangle
@@ -74,22 +75,37 @@ class CountSeq:
         _same_order(self, inner)
         if inner.coeffs[0] != 0:
             raise CompositionConstantTerm("inner sequence of a composition must have a_0 = 0")
-        table = _bell_table(self.order, inner.coeffs)
-        out = [self.coeffs[0]]
-        for n in range(1, self.order + 1):
-            out.append(sum(self.coeffs[k] * table[n][k] for k in range(1, n + 1)))
-        return CountSeq(tuple(out))
+        return CountSeq(_substitute(self.coeffs, _bell_table(self.order, inner.coeffs)))
 
     def iterate(self, times: int) -> "CountSeq":
-        """times-fold self-composition; 0 gives the singleton species."""
+        """times-fold self-composition; 0 gives the singleton species.
+
+        Uses binary powering of composition: the Bell table of the current
+        power self^(o 2^bit) is built at most once per bit of times and
+        serves both to square that power and to compose it onto the running
+        result, so the cost grows with log(times).
+        """
         if times < 0:
             raise ValueError("iteration count must be nonnegative")
         if self.coeffs[0] != 0:
             raise CompositionConstantTerm("iterated sequence must have a_0 = 0")
-        result = seq_k_set(self.order, 1)
-        for _ in range(times):
-            result = result.compose(self)
-        return result
+        if times == 0:
+            return seq_k_set(self.order, 1)
+        power, result = self.coeffs, None
+        while True:
+            table = None
+            if times & 1:
+                if result is None:
+                    result = power
+                else:
+                    table = _bell_table(self.order, power)
+                    result = _substitute(result, table)
+            times >>= 1
+            if not times:
+                return CountSeq(result)
+            if table is None:
+                table = _bell_table(self.order, power)
+            power = _substitute(power, table)
 
 
 def _same_order(a: CountSeq, b: CountSeq):
@@ -130,26 +146,34 @@ def seq_cycles_nonempty(order: int = DEFAULT_ORDER) -> CountSeq:
     return CountSeq((0,) + tuple(factorial(n - 1) for n in range(1, order + 1)))
 
 
-def compose(outer: CountSeq, inner: CountSeq) -> CountSeq:
-    return outer.compose(inner)
-
-
-def iterate_compose(seq: CountSeq, times: int) -> CountSeq:
-    return seq.iterate(times)
-
-
 def _bell_table(order, z):
-    """Partial Bell values B[n][k] for 0 <= k <= n <= order, with arguments
-    z_1, z_2, ... read from z[1:]."""
+    """Partial Bell values by column: table[k][n] = B_{n,k} for
+    0 <= k, n <= order (zero when k > n), with arguments z_1, z_2, ...
+    read from z[1:].
+
+    Written as B_{n,k} = sum_{j=k-1}^{n-1} C(n-1, j) z_{n-j} B_{j,k-1}, the
+    weights C(n-1, j) z_{n-j} do not depend on k, so they are built once per
+    n (the binomials from the previous Pascal row) and each entry is one
+    product of a weight slice with a slice of column k-1.
+    """
     table = [[0] * (order + 1) for _ in range(order + 1)]
     table[0][0] = 1
+    pascal = [1]  # C(n-1, j) for j = 0..n-1
     for n in range(1, order + 1):
+        weights = [c * z[n - j] for j, c in enumerate(pascal)]
         for k in range(1, n + 1):
-            table[n][k] = sum(
-                binomial(n - 1, i - 1) * z[i] * table[n - i][k - 1]
-                for i in range(1, n - k + 2)
-            )
+            table[k][n] = sum(map(mul, weights[k - 1 :], table[k - 1][k - 1 : n]))
+        pascal = [1] + [a + b for a, b in zip(pascal, pascal[1:])] + [1]
     return table
+
+
+def _substitute(outer, table):
+    """Coefficients of outer o inner, given the Bell table of inner:
+    (outer o inner)_n = sum_k outer_k B_{n,k}; the order-0 term is outer_0."""
+    order = len(outer) - 1
+    return (outer[0],) + tuple(
+        sum(outer[k] * table[k][n] for k in range(1, n + 1)) for n in range(1, order + 1)
+    )
 
 
 def partial_bell(n: int, k: int, z) -> int:
@@ -190,7 +214,7 @@ def complete_bell(n: int, z) -> int:
     if len(z) < n:
         raise ValueError(f"need z_1..z_{n}, got only {len(z)} arguments")
     table = _bell_table(n, (0,) + tuple(z))
-    return sum(table[n][k] for k in range(1, n + 1))
+    return sum(table[k][n] for k in range(1, n + 1))
 
 
 def bell_transform(seq: CountSeq) -> Triangle:
@@ -203,9 +227,4 @@ def bell_transform(seq: CountSeq) -> Triangle:
         raise CompositionConstantTerm("Bell transform needs a_0 = 0")
     size = seq.order
     table = _bell_table(size, seq.coeffs)
-    return Triangle(
-        tuple(
-            tuple(table[n][k] if k <= n else 0 for n in range(1, size + 1))
-            for k in range(1, size + 1)
-        )
-    )
+    return Triangle(tuple(tuple(table[k][1:]) for k in range(1, size + 1)))

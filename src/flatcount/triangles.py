@@ -21,6 +21,7 @@ arrangement with parameter m.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .exact import DEFAULT_ORDER, factorial
 
@@ -99,24 +100,45 @@ def stirling1_matrix(size: int = DEFAULT_ORDER) -> Triangle:
 
 
 def mat_mul(a: Triangle, b: Triangle) -> Triangle:
-    """Product in the (k, n) orientation: (AB)(k, n) = sum_j A(k, j) B(j, n)."""
+    """Product in the (k, n) orientation: (AB)(k, n) = sum_j A(k, j) B(j, n).
+
+    Both factors are upper triangular, so only the band k <= j <= n
+    contributes; b is transposed once so each entry is one slice product.
+    """
     if a.size != b.size:
         raise ValueError(f"size mismatch: {a.size} vs {b.size}")
-
-    def entry(k, n):
-        return sum(a.rows[k - 1][j - 1] * b.rows[j - 1][n - 1] for j in range(k, n + 1))
-
-    return _build(a.size, entry)
+    columns = tuple(zip(*b.rows))
+    rows = []
+    for k0, row in enumerate(a.rows):
+        band = row[k0:]  # map() stops at the end of the shorter column slice
+        entries = (
+            sum(map(mul, band, column[k0 : n0 + 1]))
+            for n0, column in enumerate(columns[k0:], k0)
+        )
+        rows.append((0,) * k0 + tuple(entries))
+    return Triangle(tuple(rows))
 
 
 def mat_pow(a: Triangle, exponent: int) -> Triangle:
-    """exponent-fold product of a with itself; exponent 0 gives the identity."""
+    """exponent-fold product of a with itself; exponent 0 gives the identity.
+
+    Uses binary powering: exponent.bit_length() - 1 squarings and one product
+    for each set bit after the first, so the cost grows with log(exponent).
+    The running result starts at the power of a for the lowest set bit, not
+    at the identity, which would hold one more triangle in memory.
+    """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = identity_triangle(a.size)
-    for _ in range(exponent):
-        result = mat_mul(result, a)
-    return result
+    if exponent == 0:
+        return identity_triangle(a.size)
+    power, result = a, None  # power is a ** (2 ** bit)
+    while True:
+        if exponent & 1:
+            result = power if result is None else mat_mul(result, power)
+        exponent >>= 1
+        if not exponent:
+            return result
+        power = mat_mul(power, power)
 
 
 def lah_matrix(size: int = DEFAULT_ORDER) -> Triangle:

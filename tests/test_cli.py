@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from flatcount import cli
+from flatcount.triangles import shi_count_closed
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
 
@@ -166,6 +167,67 @@ def test_cache_is_transparent(tmp_path, capsys, monkeypatch):
     assert cold == baseline
     assert warm == baseline
     assert cached_files
+
+
+def test_cache_checksum_mismatch_recomputes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
+    argv = ["count", "catalan", "-m", "2", "-n", "5"]
+    assert run(argv, capsys)[:2] == (0, "8972\n")
+    (path,) = tmp_path.iterdir()
+    good = path.read_text(encoding="utf-8")
+    assert "4501" in good
+    # A damaged entry fails the checksum: the triangle is recomputed and
+    # the file rewritten.
+    path.write_text(good.replace("4501", "450"), encoding="utf-8")
+    assert run(argv, capsys)[:2] == (0, "8972\n")
+    assert path.read_text(encoding="utf-8") == good
+    # So is a file without a checksum, with text after it, or with the rows
+    # of another size.
+    for damaged in (good.split("crc32")[0], good + "1\n"):
+        path.write_text(damaged, encoding="utf-8")
+        assert run(argv, capsys)[:2] == (0, "8972\n")
+        assert path.read_text(encoding="utf-8") == good
+    run(["count", "catalan", "-m", "2", "-n", "4"], capsys)
+    path.write_bytes((tmp_path / "catalan-m2-N4.tsv").read_bytes())
+    assert run(argv, capsys)[:2] == (0, "8972\n")
+    assert path.read_text(encoding="utf-8") == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalan-m2-N4.tsv", path.name]
+
+
+def test_unusable_cache_dir_is_no_cache(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    monkeypatch.setenv(cli.CACHE_ENV, str(blocker / "cache"))
+    assert run(["count", "catalan", "-m", "2", "-n", "5"], capsys) == (0, "8972\n", "")
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_huge_exponents(capsys):
+    # Binary powering makes m = 10^8 cost about 27 squarings.
+    m = 100_000_000
+    code, out, _ = run(["count", "shi", "-m", str(m), "-n", "3"], capsys)
+    assert (code, out) == (0, "60000000600000001\n")
+    assert int(out) == sum(shi_count_closed(m, 3, k) for k in (1, 2, 3)) == 6 * m * m + 6 * m + 1
+    code, out, _ = run(["eval", "L+^o100000000", "--order", "3"], capsys)
+    assert (code, out) == (0, "0 1 200000000 60000000000000000\n")
+
+
+def test_broken_pipe_exits_141(tmp_path):
+    # Far more output than a pipe buffers, so the writer is still writing
+    # when the reader closes its end after one line.
+    exprs = tmp_path / "exprs.txt"
+    exprs.write_text("L\n" * 3000, encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flatcount", "eval", "--file", str(exprs), "--order", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"1 1 2 6 24 ")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert b"Traceback" not in stderr
 
 
 def test_verify_passes(capsys):

@@ -136,6 +136,27 @@ def test_iterate():
         seq_lists(3).iterate(2)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [seq_lists_nonempty(8), seq_sets_nonempty(8), CountSeq((0, 2, 0, 5, 1, 0, 3, 1, 4))],
+)
+def test_iterate_matches_compose_fold(f):
+    # Binary powering against the m-fold composition; m = 0..11 covers
+    # every pattern of the low four bits of the iteration count.
+    fold = seq_k_set(f.order, 1)
+    for m in range(12):
+        assert f.iterate(m) == fold, m
+        fold = fold.compose(f)
+
+
+def test_bell_transform_matches_partial_bell():
+    for f in (seq_lists_nonempty(9), CountSeq((0, 2, 0, 5, 1, 0, 3, 1, 4, 2))):
+        triangle = bell_transform(f)
+        for n in range(1, f.order + 1):
+            for k in range(1, f.order + 1):
+                assert triangle.entry(k, n) == partial_bell(n, k, f.coeffs[1:]), (k, n)
+
+
 def _stirling2_by_enumeration(n):
     counts = {}
     for part in set_partitions(range(n)):

@@ -88,6 +88,42 @@ def test_mat_pow():
         mat_pow(sc, -1)
 
 
+def _naive_product(a, b):
+    size = range(1, a.size + 1)
+    return Triangle(
+        tuple(tuple(sum(a.entry(k, j) * b.entry(j, n) for j in size) for n in size) for k in size)
+    )
+
+
+def _upper(size, entry_fn):
+    return Triangle(
+        tuple(tuple(entry_fn(k, n) if k <= n else 0 for n in range(size)) for k in range(size))
+    )
+
+
+def test_mat_mul_matches_full_product():
+    # The banded product against the plain sum over every j, on factors
+    # with no special structure beyond being upper triangular.
+    a = _upper(6, lambda k, n: (3 * k + 7 * n) % 11)
+    b = _upper(6, lambda k, n: (5 * k + n * n) % 13)
+    assert mat_mul(a, b) == _naive_product(a, b)
+    assert mat_mul(b, a) == _naive_product(b, a)
+    lah, s2 = lah_matrix(7), stirling2_matrix(7)
+    assert mat_mul(lah, s2) == _naive_product(lah, s2)
+    one = Triangle(((4,),))
+    assert mat_mul(one, one) == Triangle(((16,),))
+
+
+@pytest.mark.parametrize("base", [lah_matrix(8), stirling2_matrix(8), stirling1_matrix(8)])
+def test_mat_pow_matches_product_fold(base):
+    # Binary powering against the m-fold product; m = 0..11 covers every
+    # pattern of the low four exponent bits.
+    fold = identity_triangle(base.size)
+    for m in range(12):
+        assert mat_pow(base, m) == fold, m
+        fold = mat_mul(fold, base)
+
+
 def test_mat_pow_equals_closed_form():
     sc = lah_matrix(12)
     for m in range(1, 6):
