@@ -9,10 +9,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 3 expression error, 141 (128 + SIGPIPE) output pipe closed by the reader.
-All numeric output is exact decimal. Computed triangles can be memoized on
-disk by setting FLATCOUNT_CACHE_DIR; the cache never changes results. Each
-cache file ends in a CRC-32 of its rows: a file that fails it is recomputed
-and rewritten, and a cache that cannot be written is skipped.
+All numeric output is exact decimal, with no limit on the number of digits.
+Computed triangles can be memoized on disk by setting FLATCOUNT_CACHE_DIR;
+the cache never changes results. Each cache file ends in a CRC-32 of its
+rows: a file that fails it is recomputed and rewritten, and a cache that
+cannot be written is skipped.
 """
 
 from __future__ import annotations
@@ -373,6 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Counts are exact and can run to many thousands of digits (1800! has
+    # 5080), past Python's default int/str conversion limit; the cache reader
+    # parses only files this program wrote. Interpreters older than the
+    # limit (before 3.10.7) have no setter and no limit.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     handler = {

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import product, repeat
 
 from .enumeration import set_partitions
 
@@ -86,11 +86,15 @@ class HeightFunction:
     def __post_init__(self):
         if not self.items:
             raise ValueError("height function needs a nonempty domain")
-        labels = [v for v, _ in self.items]
+        labels = []
+        heights = []
+        for v, h in self.items:
+            labels.append(v)
+            heights.append(h)
         if labels != sorted(set(labels)):
             raise ValueError("labels must be distinct and sorted")
-        heights = [h for _, h in self.items]
-        if any(not isinstance(h, int) or h < 0 for h in heights) or min(heights) != 0:
+        # Once every height is an int, a minimum of 0 also rules out negatives.
+        if not all(map(isinstance, heights, repeat(int))) or min(heights) != 0:
             raise ValueError("heights must be nonnegative integers with minimum 0")
 
     @classmethod

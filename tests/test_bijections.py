@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from flatcount.bijections import (
@@ -160,6 +163,132 @@ def test_shi_round_trip_and_image(m):
         for block in enumerate_connected_blocks(labels, interval):
             s = height_to_shi_structure(block, m)
             assert shi_structure_to_height(s) == block
+
+
+FAMILIES = {
+    "catalan": (
+        GainInterval.catalan,
+        enumerate_catalan_structures,
+        catalan_structure_to_height,
+        height_to_catalan_structure,
+    ),
+    "shi": (
+        GainInterval.shi,
+        enumerate_nested_lists,
+        shi_structure_to_height,
+        height_to_shi_structure,
+    ),
+}
+
+
+@pytest.mark.parametrize("family", ["catalan", "shi"])
+def test_round_trip_and_image_m3_scattered_labels(family):
+    # The sizes and labels bench/workloads.py runs the round trips on:
+    # m = 3, n <= 5, prefixes of sorted labels drawn from 1..60.
+    gains, enumerate_structs, to_height, to_structure = FAMILIES[family]
+    interval = gains(3)
+    rng = random.Random(f"bijections-{family}")
+    labels = sorted(rng.sample(range(1, 61), 5))
+    for n in range(1, 6):
+        members = tuple(labels[:n])
+        structures = enumerate_structs(members, 3)
+        heights = [to_height(s) for s in structures]
+        assert [to_structure(h, 3) for h in heights] == list(structures)
+        images = {h.items for h in heights}
+        assert len(images) == len(structures)
+        blocks = enumerate_connected_blocks(members, interval)
+        assert images == {b.items for b in blocks}
+        for block in blocks:
+            assert to_height(to_structure(block, 3)) == block
+
+
+# Reference for the inverse maps: split the blocks of equal height
+# recursively at the maximal gaps, level by level from the root.
+
+
+def _reference_levels(h):
+    by_height = {}
+    for v, height in h.items:
+        by_height.setdefault(height, []).append(v)
+    heights = sorted(by_height)
+    blocks = [tuple(sorted(by_height[a])) for a in heights]
+    gaps = [b - a for a, b in zip(heights, heights[1:])]
+    return blocks, gaps
+
+
+def _split_at(blocks, gaps, positions):
+    pieces = []
+    start = 0
+    for pos in list(positions) + [len(gaps)]:
+        pieces.append((blocks[start : pos + 1], gaps[start:pos]))
+        start = pos + 1
+    return pieces
+
+
+def reference_catalan_structure(h, m):
+    blocks, gaps = _reference_levels(h)
+    if gaps and max(gaps) > m:
+        raise NotConnected
+
+    def build(blocks, gaps, t):
+        if t == 0:
+            return frozenset(blocks[0])
+        cuts = [i for i, g in enumerate(gaps) if g == t]
+        return tuple(build(bs, gs, t - 1) for bs, gs in _split_at(blocks, gaps, cuts))
+
+    return build(blocks, gaps, m)
+
+
+def reference_shi_structure(h, m):
+    blocks, gaps = _reference_levels(h)
+    if gaps and max(gaps) > m:
+        raise NotConnected
+    for i, g in enumerate(gaps):
+        if g == m and not min(blocks[i]) < max(blocks[i + 1]):
+            raise NotConnected
+
+    def build(blocks, gaps, t):
+        if t == 1:
+            leaves = []
+            for block in blocks:
+                leaves.extend(sorted(block, reverse=True))
+            return tuple(leaves)
+        cuts = [
+            i
+            for i, g in enumerate(gaps)
+            if g == t or (g == t - 1 and min(blocks[i]) > max(blocks[i + 1]))
+        ]
+        return tuple(build(bs, gs, t - 1) for bs, gs in _split_at(blocks, gaps, cuts))
+
+    return build(blocks, gaps, m)
+
+
+REFERENCES = {
+    "catalan": (height_to_catalan_structure, reference_catalan_structure),
+    "shi": (height_to_shi_structure, reference_shi_structure),
+}
+
+
+@pytest.mark.parametrize(
+    "family,m", [("catalan", m) for m in range(0, 4)] + [("shi", m) for m in range(1, 4)]
+)
+def test_inverse_matches_recursive_reference(family, m):
+    # Every height vector up to 2m + 2, so gaps of m, m + 1 and above occur
+    # with and without a descent across them.
+    to_structure, reference = REFERENCES[family]
+    labels = (3, 12, 25, 40)
+    for n in range(1, 5):
+        for heights in product(range(2 * m + 3), repeat=n):
+            if min(heights) != 0:
+                continue
+            h = HeightFunction(tuple(zip(labels, heights)))
+            try:
+                want = reference(h, m)
+            except NotConnected:
+                with pytest.raises(NotConnected):
+                    to_structure(h, m)
+                continue
+            assert to_structure(h, m) == want
 
 
 def test_structure_counts_match_triangles():

@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -228,6 +229,27 @@ def test_broken_pipe_exits_141(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert b"Traceback" not in stderr
+
+
+def test_big_counts_print_in_full():
+    # 1800! has 5080 digits, past Python's default limit of 4300 digits on
+    # int/str conversion.
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "L", "--order", "1800"],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        assert int(proc.stdout.split()[-1]) == math.factorial(1800)
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def test_verify_passes(capsys):

@@ -39,7 +39,14 @@ def test_height_function_validation():
         hf({1: 1, 2: 2})  # minimum not zero
     with pytest.raises(ValueError):
         HeightFunction(((2, 0), (1, 1)))  # unsorted
+    with pytest.raises(ValueError):
+        HeightFunction(((1, 0), (1, 0)))  # duplicate label
+    with pytest.raises(ValueError):
+        HeightFunction(((1, 0), (2, -1)))  # negative height
+    with pytest.raises(ValueError):
+        HeightFunction(((1, 0.0),))  # not an int
     assert hf({2: 1, 1: 0}).labels == (1, 2)
+    assert HeightFunction(((1, False),)).items == ((1, False),)  # bool is an int
 
 
 def test_is_connected_block_pairs():
