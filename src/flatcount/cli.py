@@ -25,6 +25,7 @@ import sys
 import tempfile
 import zlib
 from dataclasses import dataclass
+from typing import Callable
 
 from .dsl import ParseError, evaluate_text
 from .exact import DEFAULT_ORDER
@@ -38,43 +39,52 @@ CACHE_ENV = "FLATCOUNT_CACHE_DIR"
 # 1.3 s for the three intervals, n = 6 about 5 s for [-1, 1] alone.
 LINEAR_N_MAX = 5
 
-# Test-only hook: when set, applied to each formula column during `verify`
-# so that the mismatch path can be exercised deliberately.
-_fault_hook = None
+
+@dataclass(frozen=True)
+class Family:
+    """An arrangement family: the gains A(m) of its hyperplanes x_i - x_j = a,
+    its matrix word, and the m values the CLI accepts and uses by default."""
+
+    interval: Callable[[int], GainInterval]
+    triangle: Callable[[int, int], Triangle]  # (m, size) -> flat counts
+    m_min: int | None  # the smallest valid m; None: the family takes no -m
+    table_m: tuple[int, ...]  # the m values of `table` without -m
+    verify_m_max: int | None  # the default `verify --m-max`; None: not verified
+
+
+# Family(interval, triangle, m_min, table_m, verify_m_max). The builders look
+# the matrix words up at call time, so a wrapper installed on the module-level
+# names (as the benchmark tracer does) sees every call.
+FAMILIES = {
+    "braid": Family(
+        lambda m: GainInterval.braid(), lambda m, size: catalan_triangle(0, size), None, (0,), None
+    ),
+    "catalan": Family(
+        GainInterval.catalan, lambda m, size: catalan_triangle(m, size), 0, (1, 2, 3, 4), 2
+    ),
+    "shi": Family(GainInterval.shi, lambda m, size: shi_triangle(m, size), 1, (1, 2, 3, 4, 5), 3),
+}
 
 
 @dataclass(frozen=True)
 class TableSpec:
-    family: str  # braid | catalan | shi
+    family: str  # a key of FAMILIES
     m_values: tuple[int, ...]
     n_values: tuple[int, ...]
     mode: str  # totals | by-dimension | one-dimensional
     fmt: str  # tsv | csv | markdown | bfile
 
 
-def family_interval(family: str, m: int) -> GainInterval:
-    if family == "braid":
-        return GainInterval.braid()
-    if family == "catalan":
-        return GainInterval.catalan(m)
-    return GainInterval.shi(m)
-
-
-def _compute_triangle(family: str, m: int, size: int) -> Triangle:
-    if family == "shi":
-        return shi_triangle(m, size)
-    return catalan_triangle(0 if family == "braid" else m, size)
-
-
 def formula_triangle(family: str, m: int, size: int) -> Triangle:
     """Triangle for the family, read through the on-disk cache when enabled."""
+    build = FAMILIES[family].triangle
     cache_dir = os.environ.get(CACHE_ENV)
     if not cache_dir:
-        return _compute_triangle(family, m, size)
+        return build(m, size)
     path = os.path.join(cache_dir, f"{family}-m{m}-N{size}.tsv")
     triangle = _read_cache(path, size)
     if triangle is None:
-        triangle = _compute_triangle(family, m, size)
+        triangle = build(m, size)
         _write_cache(cache_dir, path, triangle)
     return triangle
 
@@ -144,19 +154,16 @@ def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
     return values
 
 
-def _check_family_m(family: str, m, parser, *, required=True):
-    if family == "braid":
+def _check_family_m(family: str, m, parser) -> int:
+    m_min = FAMILIES[family].m_min
+    if m_min is None:
         if m is not None:
-            parser.error("braid takes no -m")
+            parser.error(f"{family} takes no -m")
         return 0
     if m is None:
-        if required:
-            parser.error(f"{family} needs -m")
-        return None
-    if family == "catalan" and m < 0:
-        parser.error("catalan needs m >= 0")
-    if family == "shi" and m < 1:
-        parser.error("shi needs m >= 1")
+        parser.error(f"{family} needs -m")
+    if m < m_min:
+        parser.error(f"{family} needs m >= {m_min}")
     return m
 
 
@@ -170,9 +177,6 @@ def cmd_count(args, parser) -> int:
     else:
         print(total_flats(triangle, args.n))
     return 0
-
-
-_DEFAULT_M = {"braid": (0,), "catalan": (1, 2, 3, 4), "shi": (1, 2, 3, 4, 5)}
 
 
 def _table_cells(spec: TableSpec) -> tuple[list[str], list[list[str]]]:
@@ -198,14 +202,9 @@ def _table_cells(spec: TableSpec) -> tuple[list[str], list[list[str]]]:
 
 
 def render_table(spec: TableSpec) -> str:
-    if spec.fmt == "bfile":
-        triangle = formula_triangle(spec.family, spec.m_values[0], max(spec.n_values))
-        lines = []
-        for n in spec.n_values:
-            value = total_flats(triangle, n) if spec.mode == "totals" else triangle.entry(1, n)
-            lines.append(f"{n} {value}")
-        return "\n".join(lines) + "\n"
     header, body = _table_cells(spec)
+    if spec.fmt == "bfile":  # one m: the row's cells are a(n) for n in the header
+        return "".join(f"{n} {value}\n" for n, value in zip(header[1:], body[0][1:]))
     if spec.fmt == "markdown":
         lines = ["| " + " | ".join(header) + " |"]
         lines.append("| " + " | ".join("---" for _ in header) + " |")
@@ -216,15 +215,12 @@ def render_table(spec: TableSpec) -> str:
 
 
 def cmd_table(args, parser) -> int:
-    family = args.family
     if args.m is None:
-        m_values = _DEFAULT_M[family]
+        m_values = FAMILIES[args.family].table_m
     else:
         m_values = _parse_range(args.m, "m", parser)
-        if family == "braid":
-            parser.error("braid takes no -m")
         for m in m_values:
-            _check_family_m(family, m, parser)
+            _check_family_m(args.family, m, parser)
     n_values = _parse_range(args.n, "n", parser)
     if min(n_values) < 1:
         parser.error("n must be positive")
@@ -235,7 +231,7 @@ def cmd_table(args, parser) -> int:
             parser.error("b-files need a single m")
         if args.mode == "by-dimension":
             parser.error("b-files need mode totals or one-dimensional")
-    spec = TableSpec(family, m_values, n_values, args.mode, args.format)
+    spec = TableSpec(args.family, m_values, n_values, args.mode, args.format)
     sys.stdout.write(render_table(spec))
     return 0
 
@@ -269,7 +265,7 @@ def cmd_oracle(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
     if args.n < 1:
         parser.error("n must be positive")
-    interval = family_interval(args.family, m)
+    interval = FAMILIES[args.family].interval(m)
     if args.method == "linear":
         counts = enumerate_flats_linear(args.n, interval)
     else:
@@ -281,17 +277,20 @@ def cmd_oracle(args, parser) -> int:
 def cmd_verify(args, parser) -> int:
     if args.n_max < 1:
         parser.error("--n-max must be positive")
-    plans = [("catalan", m) for m in range(0, (args.m_max if args.m_max is not None else 2) + 1)]
-    plans += [("shi", m) for m in range(1, (args.m_max if args.m_max is not None else 3) + 1)]
+    if args.m_max is not None and args.m_max < 0:
+        parser.error("--m-max must be nonnegative")
+    plans = []
+    for name, family in FAMILIES.items():
+        if family.verify_m_max is not None:
+            m_max = family.verify_m_max if args.m_max is None else args.m_max
+            plans += [(name, m) for m in range(family.m_min, m_max + 1)]
     mismatches = 0
     for family, m in plans:
         triangle = formula_triangle(family, m, args.n_max)
-        interval = family_interval(family, m)
+        interval = FAMILIES[family].interval(m)
         family_ok = True
         for n in range(1, args.n_max + 1):
             expected = triangle.column(n)
-            if _fault_hook is not None:
-                expected = _fault_hook(family, m, n, expected)
             got = enumerate_flats_gain(n, interval)
             for k in range(1, n + 1):
                 if expected[k - 1] != got.get(k, 0):
@@ -334,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="flat counts for one arrangement")
-    count.add_argument("family", choices=("braid", "catalan", "shi"))
+    count.add_argument("family", choices=FAMILIES)
     count.add_argument("-m", type=int, default=None, help="extension parameter")
     count.add_argument("-n", type=int, required=True, help="ambient dimension")
     count.add_argument("--by-dim", action="store_true", help="print counts for k = 1..n")
 
     table = sub.add_parser("table", help="render a reference table")
-    table.add_argument("family", choices=("braid", "catalan", "shi"))
+    table.add_argument("family", choices=FAMILIES)
     table.add_argument("-m", default=None, help="m or LO:HI (default: the shipped range)")
     table.add_argument("-n", default="1:7", help="n or LO:HI (default 1:7)")
     table.add_argument(
@@ -356,14 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--order", type=int, default=DEFAULT_ORDER)
 
     orc = sub.add_parser("oracle", help="brute-force flat counts (small n)")
-    orc.add_argument("family", choices=("braid", "catalan", "shi"))
+    orc.add_argument("family", choices=FAMILIES)
     orc.add_argument("-m", type=int, default=None)
     orc.add_argument("-n", type=int, required=True, help="ambient dimension (n <= 6 advised)")
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 
     ver = sub.add_parser("verify", help="formulas vs oracles")
     ver.add_argument("--n-max", type=int, default=5)
-    ver.add_argument("--m-max", type=int, default=None, help="default: catalan 2, shi 3")
+    m_max_defaults = ", ".join(
+        f"{name} {family.verify_m_max}"
+        for name, family in FAMILIES.items()
+        if family.verify_m_max is not None
+    )
+    ver.add_argument("--m-max", type=int, default=None, help=f"default: {m_max_defaults}")
     ver.add_argument(
         "--linear",
         action="store_true",

@@ -14,6 +14,9 @@ Grammar (whitespace insignificant, `∘` accepted wherever `o` appears):
 tightly than `*`, which binds more tightly than `+`. `o` and `*` associate
 to the left. `E+`, `L+`, `C+` and `E_k` are single tokens with no interior
 whitespace; `X` is the singleton species, the identity for composition.
+
+Parentheses, and operators on any path from the root to an atom, may nest at
+most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep).
 """
 
 from __future__ import annotations
@@ -33,11 +36,18 @@ from .species import (
 )
 
 
-class ParseError(Exception):
-    """Syntax error in a species expression, carrying the byte offset."""
+# Parsing recurses once per parenthesis and evaluation once per operator;
+# this bound keeps both well inside Python's recursion limit.
+MAX_DEPTH = 100
+_TOO_DEEP = "expression nested too deeply"
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (byte offset {position})")
+
+class ParseError(Exception):
+    """Syntax error in a species expression, carrying the byte offset, or
+    None for an expression nested too deeply."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message if position is None else f"{message} (byte offset {position})")
         self.position = position
 
 
@@ -138,6 +148,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.index = 0
+        self.depth = 0  # open parentheses
 
     def peek(self):
         return self.tokens[self.index]
@@ -186,10 +197,14 @@ class _Parser:
         if kind == "ksubscript":
             return KSet(int(value))
         if kind == "lparen":
+            self.depth += 1
+            if self.depth > MAX_DEPTH:
+                raise ParseError(_TOO_DEEP)
             node = self.expr()
             closing_kind, _, closing_pos = self.advance()
             if closing_kind != "rparen":
                 raise ParseError("unmatched '('", closing_pos)
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", pos)
 
@@ -201,7 +216,22 @@ def parse(text: str):
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected token {value!r}", pos)
+    if _operator_depth(node) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP)
     return node
+
+
+def _operator_depth(expr) -> int:
+    """Most operators on a path from expr to an atom, found without recursion."""
+    deepest, stack = 0, [(expr, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if isinstance(node, Iterate):
+            stack.append((node.base, depth + 1))
+        elif isinstance(node, (Sum, Product, Compose)):
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
 
 
 _PREC = {Sum: 1, Product: 2, Compose: 3, Iterate: 4}
@@ -228,20 +258,21 @@ def render(expr) -> str:
     return walk(expr, 0, False)
 
 
+_ATOM_SEQUENCES = {
+    "E": seq_sets,
+    "E+": seq_sets_nonempty,
+    "L": seq_lists,
+    "L+": seq_lists_nonempty,
+    "C": seq_cycles_nonempty,
+    "C+": seq_cycles_nonempty,
+    "X": lambda order: seq_k_set(order, 1),
+}
+
+
 def evaluate(expr, order: int = DEFAULT_ORDER) -> CountSeq:
     """Exact coefficients a_0..a_order of the expression."""
     if isinstance(expr, Atom):
-        maker = {
-            "E": seq_sets,
-            "E+": seq_sets_nonempty,
-            "L": seq_lists,
-            "L+": seq_lists_nonempty,
-            "C": seq_cycles_nonempty,
-            "C+": seq_cycles_nonempty,
-        }
-        if expr.name == "X":
-            return seq_k_set(order, 1)
-        return maker[expr.name](order)
+        return _ATOM_SEQUENCES[expr.name](order)
     if isinstance(expr, KSet):
         return seq_k_set(order, expr.k)
     if isinstance(expr, Sum):

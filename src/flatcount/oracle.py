@@ -60,9 +60,6 @@ class GainInterval:
     def braid(cls) -> "GainInterval":
         return cls(0, 0)
 
-    def contains(self, a: int) -> bool:
-        return self.lo <= a <= self.hi
-
     @property
     def span(self) -> int:
         return max(abs(self.lo), abs(self.hi))
@@ -296,24 +293,6 @@ def _add_row(echelon, pivots, row, ncoords):
     ]
     reduced.insert(sum(1 for p in pivots if p < col), new)
     return tuple(reduced)
-
-
-def _rref(rows, ncoords):
-    """Reduced row echelon form of an augmented integer system.
-
-    Returns the canonical tuple of nonzero rows, or None when the system is
-    inconsistent (empty intersection). Pivots are chosen on the lowest-index
-    coordinate columns and scaled to 1, so the result is the unique
-    canonical form of the affine subspace. Every pivot must be +1 or -1, as
-    it is for the totally unimodular rows x_i - x_j = a; any other pivot
-    raises ValueError.
-    """
-    echelon = ()
-    for row in rows:
-        echelon = _add_row(echelon, [_pivot(r, ncoords) for r in echelon], row, ncoords)
-        if echelon is None:
-            return None
-    return echelon
 
 
 def enumerate_flats_linear(n: int, interval: GainInterval) -> dict[int, int]:

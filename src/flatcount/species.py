@@ -179,30 +179,18 @@ def _substitute(outer, table):
 def partial_bell(n: int, k: int, z) -> int:
     """Partial Bell polynomial B_{n,k}(z_1, ..., z_{n-k+1}).
 
-    Computed by the recurrence
-    B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) z_i B_{n-i,k-1}
-    with B_{0,0} = 1 and B_{n,0} = 0 for n > 0. z is indexed from z_1,
-    so z[0] holds z_1.
+    z is indexed from z_1, so z[0] holds z_1. Read from the Bell table with
+    zeros past z_{n-k+1}: a partition of n labels into k blocks has no block
+    larger than n-k+1, so B_{n,k} does not depend on the padded values.
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    if k > n:
-        return 0
-    if k == 0:
-        return 1 if n == 0 else 0
+    if k == 0 or k > n:
+        return 1 if n == k else 0
     if len(z) < n - k + 1:
         raise ValueError(f"need z_1..z_{n - k + 1}, got only {len(z)} arguments")
-    # Only cells with n' <= n - (k - k') are reachable from B_{n,k}; computing
-    # just those keeps every z index within the promised n-k+1 arguments.
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for kk in range(1, k + 1):
-        for nn in range(kk, n - k + kk + 1):
-            table[nn][kk] = sum(
-                binomial(nn - 1, i - 1) * z[i - 1] * table[nn - i][kk - 1]
-                for i in range(1, nn - kk + 2)
-            )
-    return table[n][k]
+    padded = (0,) + tuple(z[: n - k + 1]) + (0,) * (k - 1)
+    return _bell_table(n, padded)[k][n]
 
 
 def complete_bell(n: int, z) -> int:

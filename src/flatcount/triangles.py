@@ -73,30 +73,27 @@ def identity_triangle(size: int) -> Triangle:
     return _build(size, lambda k, n: 1 if k == n else 0)
 
 
-def stirling2_matrix(size: int = DEFAULT_ORDER) -> Triangle:
-    """Entry (k, n) = S(n, k), the number of partitions of [n] into k blocks."""
+def _stirling_recurrence(size, weight) -> Triangle:
+    """Entry (k, n) = T(n, k), where T(0, 0) = 1, T(n, 0) = 0 for n > 0 and
+    T(n, k) = T(n-1, k-1) + weight(n, k) * T(n-1, k)."""
     if size < 1:
         raise ValueError("size must be at least 1")
-    # S(n, k) = S(n-1, k-1) + k * S(n-1, k)
     table = [[0] * (size + 1) for _ in range(size + 1)]
     table[0][0] = 1
     for n in range(1, size + 1):
         for k in range(1, n + 1):
-            table[n][k] = table[n - 1][k - 1] + k * table[n - 1][k]
+            table[n][k] = table[n - 1][k - 1] + weight(n, k) * table[n - 1][k]
     return _build(size, lambda k, n: table[n][k])
+
+
+def stirling2_matrix(size: int = DEFAULT_ORDER) -> Triangle:
+    """Entry (k, n) = S(n, k), the number of partitions of [n] into k blocks."""
+    return _stirling_recurrence(size, lambda n, k: k)
 
 
 def stirling1_matrix(size: int = DEFAULT_ORDER) -> Triangle:
     """Entry (k, n) = c(n, k), the number of permutations of [n] with k cycles."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    # c(n, k) = c(n-1, k-1) + (n-1) * c(n-1, k)
-    table = [[0] * (size + 1) for _ in range(size + 1)]
-    table[0][0] = 1
-    for n in range(1, size + 1):
-        for k in range(1, n + 1):
-            table[n][k] = table[n - 1][k - 1] + (n - 1) * table[n - 1][k]
-    return _build(size, lambda k, n: table[n][k])
+    return _stirling_recurrence(size, lambda n, k: n - 1)
 
 
 def mat_mul(a: Triangle, b: Triangle) -> Triangle:

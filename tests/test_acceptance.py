@@ -23,6 +23,7 @@ from flatcount.oracle import (
 )
 from flatcount.species import CountSeq, bell_transform, complete_bell, seq_sets
 from flatcount.triangles import (
+    Triangle,
     catalan_triangle,
     lah_matrix,
     lah_power_closed,
@@ -226,16 +227,21 @@ def test_criterion_11_verify_command(capsys, monkeypatch):
         assert code == 0, out
         assert "verification passed" in out
 
-        def fault(family, m, n, column):
-            if family == "shi" and m == 2 and n == 4:
-                return column[:1] + (column[1] + 7,) + column[2:]
-            return column
+        formula_triangle = cli.formula_triangle
 
-        monkeypatch.setattr(cli, "_fault_hook", fault)
+        def faulty(family, m, size):
+            triangle = formula_triangle(family, m, size)
+            if family == "shi" and m == 2:
+                rows = [list(row) for row in triangle.rows]
+                rows[1][3] += 7  # T(k=2, n=4)
+                triangle = Triangle(tuple(map(tuple, rows)))
+            return triangle
+
+        monkeypatch.setattr(cli, "formula_triangle", faulty)
         code = cli.main(["verify"])
         out, _ = capsys.readouterr()
         assert code == 1, out
         assert "mismatch family=shi m=2 n=4 k=2 expected=151 got=144" in out
-        monkeypatch.setattr(cli, "_fault_hook", None)
+        monkeypatch.setattr(cli, "formula_triangle", formula_triangle)
 
     check(11, None, "verify command exit codes and mismatch reporting", body)

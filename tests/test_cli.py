@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from flatcount import cli
-from flatcount.triangles import shi_count_closed
+from flatcount.oracle import GainInterval
+from flatcount.triangles import Triangle, catalan_triangle, shi_count_closed, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
 
@@ -281,12 +282,17 @@ def test_verify_linear_cap(capsys):
 
 
 def test_verify_reports_injected_fault(capsys, monkeypatch):
-    def fault(family, m, n, column):
-        if family == "catalan" and m == 1 and n == 3:
-            return (column[0] + 1,) + column[1:]
-        return column
+    formula_triangle = cli.formula_triangle
 
-    monkeypatch.setattr(cli, "_fault_hook", fault)
+    def faulty(family, m, size):
+        triangle = formula_triangle(family, m, size)
+        if family == "catalan" and m == 1:
+            rows = [list(row) for row in triangle.rows]
+            rows[0][2] += 1  # T(k=1, n=3)
+            triangle = Triangle(tuple(map(tuple, rows)))
+        return triangle
+
+    monkeypatch.setattr(cli, "formula_triangle", faulty)
     code, out, _ = run(["verify", "--n-max", "3"], capsys)
     assert code == 1
     mismatches = [line for line in out.splitlines() if line.startswith("mismatch")]
@@ -301,3 +307,60 @@ def test_console_entry_point_bytes():
         check=True,
     )
     assert proc.stdout == b"8972\n"
+
+
+def test_verify_rejects_negative_m_max(capsys):
+    code, out, err = run(["verify", "--m-max", "-3"], capsys)
+    assert code == 2
+    assert "--m-max must be nonnegative" in err
+    assert "verification passed" not in out
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["(" * 3000 + "E" + ")" * 3000, " + ".join(["X"] * 5000), " o ".join(["L+"] * 3000)],
+    ids=["parentheses", "sum", "composition"],
+)
+def test_eval_too_deep_exits_3(tmp_path, expr):
+    path = tmp_path / "deep.txt"
+    path.write_text(expr + "\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "--file", str(path), "--order", "4"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error on line 1: expression nested too deeply\n"
+
+
+def test_families_table():
+    assert list(cli.FAMILIES) == ["braid", "catalan", "shi"]
+    braid, catalan, shi = cli.FAMILIES.values()
+    assert (braid.m_min, braid.table_m, braid.verify_m_max) == (None, (0,), None)
+    assert (catalan.m_min, catalan.table_m, catalan.verify_m_max) == (0, (1, 2, 3, 4), 2)
+    assert (shi.m_min, shi.table_m, shi.verify_m_max) == (1, (1, 2, 3, 4, 5), 3)
+    assert braid.interval(0) == GainInterval(0, 0)
+    assert catalan.interval(2) == GainInterval(-2, 2)
+    assert shi.interval(2) == GainInterval(-1, 2)
+    assert braid.triangle(0, 6) == catalan_triangle(0, 6)
+    assert catalan.triangle(2, 6) == catalan_triangle(2, 6)
+    assert shi.triangle(2, 6) == shi_triangle(2, 6)
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_family_commands_agree(family, capsys):
+    m_min = cli.FAMILIES[family].m_min
+    m_args = [] if m_min is None else ["-m", str(m_min)]
+    for n in range(1, 5):
+        count = run(["count", family, *m_args, "-n", str(n)], capsys)
+        by_dim = run(["count", family, *m_args, "-n", str(n), "--by-dim"], capsys)
+        oracle = run(["oracle", family, *m_args, "-n", str(n)], capsys)
+        assert count[0] == by_dim[0] == oracle[0] == 0
+        assert by_dim[1] == oracle[1]
+        assert int(count[1]) == sum(map(int, by_dim[1].split()))
+    # braid takes no -m at all, not even 0
+    bad = ["-m", "0" if m_min is None else str(m_min - 1)]
+    for argv in (["count", family, *bad, "-n", "3"], ["oracle", family, *bad, "-n", "3"]):
+        assert run(argv, capsys)[0] == 2
+    assert run(["table", family, *bad], capsys)[0] == 2

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcount.dsl import (
+    MAX_DEPTH,
     Atom,
     Compose,
     Iterate,
@@ -141,3 +142,20 @@ def expressions(depth):
 @settings(max_examples=200, deadline=None)
 def test_parse_render_round_trip(expr):
     assert parse(render(expr)) == expr
+
+
+def test_nesting_limit():
+    assert parse("(" * MAX_DEPTH + "E" + ")" * MAX_DEPTH) == Atom("E")
+    assert evaluate_text(" + ".join(["X"] * (MAX_DEPTH + 1)), 2).coeffs == (0, MAX_DEPTH + 1, 0)
+    assert evaluate_text("L+" + "^o1" * MAX_DEPTH, 3).coeffs == (0, 1, 2, 6)
+    right_nested = "(X + " * MAX_DEPTH + "X" + ")" * MAX_DEPTH
+    assert evaluate_text(right_nested, 1).coeffs == (0, MAX_DEPTH + 1)
+    for text in (
+        "(" * (MAX_DEPTH + 1) + "E" + ")" * (MAX_DEPTH + 1),
+        " + ".join(["X"] * (MAX_DEPTH + 2)),
+        " * ".join(["X"] * (MAX_DEPTH + 2)),
+        "L+" + "^o1" * (MAX_DEPTH + 1),
+        "X + " + right_nested,
+    ):
+        with pytest.raises(ParseError, match="^expression nested too deeply$"):
+            parse(text)

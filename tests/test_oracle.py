@@ -11,7 +11,8 @@ from flatcount.oracle import (
     enumerate_flats_gain,
     enumerate_flats_linear,
     is_connected_block,
-    _rref,
+    _add_row,
+    _pivot,
 )
 from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import TRIANGLES_5
@@ -235,10 +236,18 @@ def test_flats_linear_at_n5(lo, hi):
 
 
 def test_rref_integer_pivots():
+    def rref(rows, ncoords):  # rows added one at a time; None when inconsistent
+        echelon = ()
+        for row in rows:
+            echelon = _add_row(echelon, [_pivot(r, ncoords) for r in echelon], row, ncoords)
+            if echelon is None:
+                return None
+        return echelon
+
     with pytest.raises(ValueError):
-        _rref([(2, 1)], 1)  # 2 x_1 = 1 needs a rational row reduction
-    assert _rref([(1, -1, 3), (-1, 1, 2)], 2) is None
-    assert _rref([(0, -1, 2), (1, -1, 0)], 2) == ((1, 0, -2), (0, 1, -2))
+        rref([(2, 1)], 1)  # 2 x_1 = 1 needs a rational row reduction
+    assert rref([(1, -1, 3), (-1, 1, 2)], 2) is None
+    assert rref([(0, -1, 2), (1, -1, 0)], 2) == ((1, 0, -2), (0, 1, -2))
 
 
 def test_flats_linear_shi_row():

@@ -149,12 +149,49 @@ def test_iterate_matches_compose_fold(f):
         fold = fold.compose(f)
 
 
+def _partial_bell_reference(n: int, k: int, z) -> int:
+    """Partial Bell polynomial B_{n,k}(z_1, ..., z_{n-k+1}).
+
+    Computed by the recurrence
+    B_{n,k} = sum_{i=1}^{n-k+1} C(n-1, i-1) z_i B_{n-i,k-1}
+    with B_{0,0} = 1 and B_{n,0} = 0 for n > 0. z is indexed from z_1,
+    so z[0] holds z_1.
+    """
+    if n < 0 or k < 0:
+        raise ValueError("n and k must be nonnegative")
+    if k > n:
+        return 0
+    if k == 0:
+        return 1 if n == 0 else 0
+    if len(z) < n - k + 1:
+        raise ValueError(f"need z_1..z_{n - k + 1}, got only {len(z)} arguments")
+    # Only cells with n' <= n - (k - k') are reachable from B_{n,k}; computing
+    # just those keeps every z index within the promised n-k+1 arguments.
+    table = [[0] * (k + 1) for _ in range(n + 1)]
+    table[0][0] = 1
+    for kk in range(1, k + 1):
+        for nn in range(kk, n - k + kk + 1):
+            table[nn][kk] = sum(
+                binomial(nn - 1, i - 1) * z[i - 1] * table[nn - i][kk - 1]
+                for i in range(1, nn - kk + 2)
+            )
+    return table[n][k]
+
+
+def test_partial_bell_matches_reference():
+    z = (3, 0, 2, 7, 1, 0, 5, 2, 4)
+    for n in range(10):
+        for k in range(n + 1):
+            args = z[: n - k + 1] if k else z
+            assert partial_bell(n, k, args) == _partial_bell_reference(n, k, args), (n, k)
+
+
 def test_bell_transform_matches_partial_bell():
     for f in (seq_lists_nonempty(9), CountSeq((0, 2, 0, 5, 1, 0, 3, 1, 4, 2))):
         triangle = bell_transform(f)
         for n in range(1, f.order + 1):
             for k in range(1, f.order + 1):
-                assert triangle.entry(k, n) == partial_bell(n, k, f.coeffs[1:]), (k, n)
+                assert triangle.entry(k, n) == _partial_bell_reference(n, k, f.coeffs[1:]), (k, n)
 
 
 def _stirling2_by_enumeration(n):
