@@ -8,22 +8,16 @@ Subcommands:
     verify   cross-check the matrix formulas against the oracles
 
 Exit codes: 0 success, 1 verification mismatch, 2 argument error,
-3 expression error, 141 (128 + SIGPIPE) output pipe closed by the reader.
+3 expression error, 4 unexpected internal error (MemoryError included),
+141 (128 + SIGPIPE) output pipe closed by the reader.
 All numeric output is exact decimal, with no limit on the number of digits.
-Computed triangles can be memoized on disk by setting FLATCOUNT_CACHE_DIR;
-the cache never changes results. Each cache file ends in a CRC-32 of its
-rows: a file that fails it is recomputed and rewritten, and a cache that
-cannot be written is skipped.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
-import tempfile
-import zlib
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,9 +25,15 @@ from .dsl import ParseError, evaluate_text
 from .exact import DEFAULT_ORDER
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .species import CompositionConstantTerm
-from .triangles import Triangle, catalan_triangle, shi_triangle, total_flats
-
-CACHE_ENV = "FLATCOUNT_CACHE_DIR"
+from .triangles import (
+    CATALAN_WORD,
+    SHI_WORD,
+    MatrixWord,
+    Triangle,
+    stirling1_matrix,
+    stirling2_matrix,
+    vector_times,
+)
 
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
 # 1.3 s for the three intervals, n = 6 about 5 s for [-1, 1] alone.
@@ -46,23 +46,21 @@ class Family:
     its matrix word, and the m values the CLI accepts and uses by default."""
 
     interval: Callable[[int], GainInterval]
-    triangle: Callable[[int, int], Triangle]  # (m, size) -> flat counts
+    word: MatrixWord  # the matrix words T(m), one for each m
     m_min: int | None  # the smallest valid m; None: the family takes no -m
     table_m: tuple[int, ...]  # the m values of `table` without -m
     verify_m_max: int | None  # the default `verify --m-max`; None: not verified
 
+    def triangle(self, m: int, size: int) -> Triangle:
+        """The flat counts T(k, n) for k, n <= size."""
+        return self.word.triangle(m, size)
 
-# Family(interval, triangle, m_min, table_m, verify_m_max). The builders look
-# the matrix words up at call time, so a wrapper installed on the module-level
-# names (as the benchmark tracer does) sees every call.
+
+# Family(interval, word, m_min, table_m, verify_m_max)
 FAMILIES = {
-    "braid": Family(
-        lambda m: GainInterval.braid(), lambda m, size: catalan_triangle(0, size), None, (0,), None
-    ),
-    "catalan": Family(
-        GainInterval.catalan, lambda m, size: catalan_triangle(m, size), 0, (1, 2, 3, 4), 2
-    ),
-    "shi": Family(GainInterval.shi, lambda m, size: shi_triangle(m, size), 1, (1, 2, 3, 4, 5), 3),
+    "braid": Family(lambda m: GainInterval.braid(), CATALAN_WORD, None, (0,), None),
+    "catalan": Family(GainInterval.catalan, CATALAN_WORD, 0, (1, 2, 3, 4), 2),
+    "shi": Family(GainInterval.shi, SHI_WORD, 1, (1, 2, 3, 4, 5), 3),
 }
 
 
@@ -76,68 +74,8 @@ class TableSpec:
 
 
 def formula_triangle(family: str, m: int, size: int) -> Triangle:
-    """Triangle for the family, read through the on-disk cache when enabled."""
-    build = FAMILIES[family].triangle
-    cache_dir = os.environ.get(CACHE_ENV)
-    if not cache_dir:
-        return build(m, size)
-    path = os.path.join(cache_dir, f"{family}-m{m}-N{size}.tsv")
-    triangle = _read_cache(path, size)
-    if triangle is None:
-        triangle = build(m, size)
-        _write_cache(cache_dir, path, triangle)
-    return triangle
-
-
-# A cache file is the triangle's rows as tab-separated lines, then this tag
-# and the CRC-32 of those lines in hex. Both directions stream one line at a
-# time, so the file is never held whole in memory next to the triangle.
-_CHECKSUM_TAG = b"crc32 "
-
-
-def _read_cache(path: str, size: int):
-    """The cached triangle, or None if the file is missing, unreadable,
-    fails its checksum or does not hold a size x size triangle."""
-    rows, crc = [], 0
-    try:
-        with open(path, "rb") as handle:
-            for line in handle:
-                if line.startswith(_CHECKSUM_TAG):
-                    if line != _CHECKSUM_TAG + b"%08x\n" % crc or handle.read(1):
-                        return None
-                    break
-                crc = zlib.crc32(line, crc)
-                rows.append(tuple(int(cell) for cell in line.split(b"\t")))
-            else:
-                return None  # no checksum line
-        triangle = Triangle(tuple(rows))
-    except (OSError, ValueError):
-        return None
-    return triangle if triangle.size == size else None
-
-
-def _write_cache(cache_dir: str, path: str, triangle: Triangle) -> None:
-    """Write the triangle to path through a temporary file and a rename, so
-    a reader never sees a partial file. Any OSError leaves the cache as it
-    was: the cache is then simply not used."""
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    except OSError:
-        return
-    try:
-        crc = 0
-        with os.fdopen(fd, "wb") as handle:
-            for row in triangle.rows:
-                line = ("\t".join(map(str, row)) + "\n").encode()
-                crc = zlib.crc32(line, crc)
-                handle.write(line)
-            handle.write(_CHECKSUM_TAG + b"%08x\n" % crc)
-        os.chmod(tmp, 0o644)  # mkstemp makes it owner-only
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+    """The family's whole triangle: the one place the CLI builds one."""
+    return FAMILIES[family].triangle(m, size)
 
 
 def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
@@ -171,11 +109,15 @@ def cmd_count(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
     if args.n < 1:
         parser.error("n must be positive")
-    triangle = formula_triangle(args.family, m, args.n)
-    if args.by_dim:
-        print(" ".join(str(v) for v in triangle.column(args.n)))
+    word = FAMILIES[args.family].word
+    if word.vectors_cheaper(m, args.n):
+        column = word.column(m, args.n)
     else:
-        print(total_flats(triangle, args.n))
+        column = formula_triangle(args.family, m, args.n).column(args.n)
+    if args.by_dim:
+        print(" ".join(str(v) for v in column))
+    else:
+        print(sum(column))
     return 0
 
 
@@ -189,15 +131,18 @@ def _table_cells(spec: TableSpec) -> tuple[list[str], list[list[str]]]:
             column = triangle.column(n)
             body.append([str(n)] + [str(v) for v in column] + [""] * (n_max - n))
         return header, body
+    # totals: the row 1^T T of column sums; one-dimensional: the row e_1^T T
+    start = (1,) * n_max if spec.mode == "totals" else (1,) + (0,) * (n_max - 1)
+    s2, s1 = stirling2_matrix(n_max), stirling1_matrix(n_max)  # shared by every m
     header = ["m"] + [str(n) for n in spec.n_values]
     body = []
+    word = FAMILIES[spec.family].word
     for m in spec.m_values:
-        triangle = formula_triangle(spec.family, m, n_max)
-        if spec.mode == "totals":
-            cells = [str(total_flats(triangle, n)) for n in spec.n_values]
-        else:  # one-dimensional
-            cells = [str(triangle.entry(1, n)) for n in spec.n_values]
-        body.append([str(m)] + cells)
+        if word.vectors_cheaper(m, n_max):
+            row = word.row(m, start, s2, s1)
+        else:
+            row = vector_times(start, formula_triangle(spec.family, m, n_max))
+        body.append([str(m)] + [str(row[n - 1]) for n in spec.n_values])
     return header, body
 
 
@@ -379,9 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # Counts are exact and can run to many thousands of digits (1800! has
-    # 5080), past Python's default int/str conversion limit; the cache reader
-    # parses only files this program wrote. Interpreters older than the
-    # limit (before 3.10.7) have no setter and no limit.
+    # 5080), past Python's default int/str conversion limit. Interpreters
+    # older than the limit (before 3.10.7) have no setter and no limit.
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
@@ -407,4 +351,9 @@ def entry():
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = 141  # 128 + SIGPIPE
+    except Exception as err:  # any other fault, MemoryError included
+        # Exit 1 means "verification mismatch", so a fault gets its own code
+        # and a one-line message (repr escapes newlines) instead of a traceback.
+        print(f"internal error: {err!r}", file=sys.stderr)
+        code = 4
     sys.exit(code)

@@ -164,6 +164,56 @@ def catalan_triangle(m: int, size: int = DEFAULT_ORDER) -> Triangle:
     return mat_mul(mat_pow(lah_matrix(size), m), stirling2_matrix(size))
 
 
+@dataclass(frozen=True)
+class MatrixWord:
+    """The words T = (S c)^m of one family, times S on the right when ends_in_s.
+
+    triangle() builds all of T with shi_triangle or catalan_triangle.
+    column() and row() apply the word to one vector instead: 2m + 1
+    products of a Stirling matrix with a vector, each O(size^2).
+    """
+
+    ends_in_s: bool
+
+    def triangle(self, m: int, size: int) -> Triangle:
+        return (catalan_triangle if self.ends_in_s else shi_triangle)(m, size)
+
+    def vectors_cheaper(self, m: int, size: int) -> bool:
+        """Whether column() or row() takes fewer multiplications than triangle():
+        about (2m + 1) size^2 / 2 against (log2(m) + 2) size^3 / 6."""
+        return 3 * (2 * m + 1) <= (m.bit_length() + 1) * size
+
+    def column(self, m: int, n: int) -> tuple[int, ...]:
+        """T e_n, the counts T(k, n) for k = 1..n, evaluated right to left."""
+        s2, s1 = stirling2_matrix(n), stirling1_matrix(n)
+        vector = s2.column(n) if self.ends_in_s else (0,) * (n - 1) + (1,)
+        for _ in range(m):
+            vector = _times_vector(s2, _times_vector(s1, vector))
+        return vector
+
+    def row(self, m: int, start, s2: Triangle, s1: Triangle) -> tuple[int, ...]:
+        """start^T T, evaluated left to right over S = s2 and c = s1 of len(start)."""
+        vector = start
+        for _ in range(m):
+            vector = vector_times(vector_times(vector, s2), s1)
+        return vector_times(vector, s2) if self.ends_in_s else vector
+
+
+SHI_WORD = MatrixWord(ends_in_s=False)  # shi_triangle: (S c)^m
+CATALAN_WORD = MatrixWord(ends_in_s=True)  # catalan_triangle: (S c)^m S
+
+
+def _times_vector(a: Triangle, vector) -> tuple[int, ...]:
+    """a v for a column v: only j >= k contributes to (a v)(k)."""
+    return tuple(sum(map(mul, row[k0:], vector[k0:])) for k0, row in enumerate(a.rows))
+
+
+def vector_times(vector, a: Triangle) -> tuple[int, ...]:
+    """v^T a for a row v: only k <= n contributes to (v^T a)(n)."""
+    columns = zip(*a.rows)
+    return tuple(sum(map(mul, vector, column[: n0 + 1])) for n0, column in enumerate(columns))
+
+
 def shi_count_closed(m: int, n: int, k: int) -> int:
     """Closed form for the k-dimensional flat count of the n-dimensional
     m-extended Shi arrangement: m^(n-k) * n! (n-1)! / (k! (k-1)! (n-k)!)."""

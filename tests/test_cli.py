@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -160,47 +161,23 @@ def test_output_deterministic(capsys):
     assert first == second
 
 
-def test_cache_is_transparent(tmp_path, capsys, monkeypatch):
-    baseline = run(["table", "shi", "-n", "1:6"], capsys)
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    cold = run(["table", "shi", "-n", "1:6"], capsys)
-    cached_files = list(tmp_path.iterdir())
-    warm = run(["table", "shi", "-n", "1:6"], capsys)
-    assert cold == baseline
-    assert warm == baseline
-    assert cached_files
-
-
-def test_cache_checksum_mismatch_recomputes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
-    argv = ["count", "catalan", "-m", "2", "-n", "5"]
-    assert run(argv, capsys)[:2] == (0, "8972\n")
-    (path,) = tmp_path.iterdir()
-    good = path.read_text(encoding="utf-8")
-    assert "4501" in good
-    # A damaged entry fails the checksum: the triangle is recomputed and
-    # the file rewritten.
-    path.write_text(good.replace("4501", "450"), encoding="utf-8")
-    assert run(argv, capsys)[:2] == (0, "8972\n")
-    assert path.read_text(encoding="utf-8") == good
-    # So is a file without a checksum, with text after it, or with the rows
-    # of another size.
-    for damaged in (good.split("crc32")[0], good + "1\n"):
-        path.write_text(damaged, encoding="utf-8")
-        assert run(argv, capsys)[:2] == (0, "8972\n")
-        assert path.read_text(encoding="utf-8") == good
-    run(["count", "catalan", "-m", "2", "-n", "4"], capsys)
-    path.write_bytes((tmp_path / "catalan-m2-N4.tsv").read_bytes())
-    assert run(argv, capsys)[:2] == (0, "8972\n")
-    assert path.read_text(encoding="utf-8") == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["catalan-m2-N4.tsv", path.name]
-
-
-def test_unusable_cache_dir_is_no_cache(tmp_path, capsys, monkeypatch):
+def test_cache_dir_variable_is_ignored(tmp_path):
+    # FLATCOUNT_CACHE_DIR once named a disk cache. Old scripts still set it,
+    # so it must change nothing and write nothing, usable directory or not.
+    empty = tmp_path / "cache"
+    empty.mkdir()
     blocker = tmp_path / "file"
     blocker.write_text("not a directory\n", encoding="utf-8")
-    monkeypatch.setenv(cli.CACHE_ENV, str(blocker / "cache"))
-    assert run(["count", "catalan", "-m", "2", "-n", "5"], capsys) == (0, "8972\n", "")
+    before = sorted(tmp_path.rglob("*"))
+    for cache_dir in (empty, blocker / "cache"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatcount", "count", "catalan", "-m", "2", "-n", "5"],
+            capture_output=True,
+            cwd=tmp_path,
+            env=dict(os.environ, FLATCOUNT_CACHE_DIR=str(cache_dir)),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"8972\n", b"")
+    assert sorted(tmp_path.rglob("*")) == before
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
@@ -212,6 +189,87 @@ def test_huge_exponents(capsys):
     assert int(out) == sum(shi_count_closed(m, 3, k) for k in (1, 2, 3)) == 6 * m * m + 6 * m + 1
     code, out, _ = run(["eval", "L+^o100000000", "--order", "3"], capsys)
     assert (code, out) == (0, "0 1 200000000 60000000000000000\n")
+    code, out, _ = run(["table", "shi", "-m", str(m), "-n", "1:3"], capsys)
+    assert (code, out) == (0, f"m\t1\t2\t3\n{m}\t1\t{2 * m + 1}\t60000000600000001\n")
+
+
+def test_unexpected_error_exits_4(capsys, monkeypatch):
+    def out_of_memory(args, parser):
+        raise MemoryError("no room\nfor the triangle")
+
+    monkeypatch.setattr(cli, "cmd_count", out_of_memory)
+    monkeypatch.setattr(sys, "argv", ["flatcount", "count", "catalan", "-m", "2", "-n", "5"])
+    with pytest.raises(SystemExit) as exit_info:
+        cli.entry()
+    assert exit_info.value.code == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: MemoryError('no room\\nfor the triangle')\n"
+    assert "Traceback" not in err
+
+
+def test_vector_route_matches_triangle_route(capsys, monkeypatch):
+    # Whole triangles from the reference words, for each family at every
+    # valid m <= 6 and at m = 40. The CLI builds the whole triangle for m = 40
+    # up to n = 34 and for m <= 6 up to n = 2..9, so n <= 40 sees both routes.
+    references_by_family = {
+        "braid": {0: catalan_triangle(0, 40)},
+        "catalan": {m: catalan_triangle(m, 40) for m in (*range(7), 40)},
+        "shi": {m: shi_triangle(m, 40) for m in (*range(1, 7), 40)},
+    }
+    built = []  # the m of each whole triangle the CLI builds
+    formula_triangle = cli.formula_triangle
+
+    def recorded(family, m, size):
+        built.append(m)
+        return formula_triangle(family, m, size)
+
+    monkeypatch.setattr(cli, "formula_triangle", recorded)
+    parser = cli.build_parser()  # parsing reuses it; building it 1920 times is slow
+    monkeypatch.setattr(cli, "build_parser", lambda: parser)
+
+    def run_routes(argv, m_values):  # stdout, and for each m whether it built T
+        del built[:]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        return out, {m in built for m in m_values}
+
+    column_routes, row_routes = set(), set()
+    for family, references in references_by_family.items():
+        for m, reference in references.items():
+            m_args = [] if family == "braid" else ["-m", str(m)]
+            for n in range(1, 41):
+                column = reference.column(n)
+                count = ["count", family, *m_args, "-n", str(n)]
+                out, routes = run_routes([*count, "--by-dim"], [m])
+                assert out == " ".join(map(str, column)) + "\n", (family, m, n)
+                assert run_routes(count, [m]) == (f"{sum(column)}\n", routes)
+                column_routes |= routes
+        # Rows as `table` asks for them: every m of a range in one command.
+        groups = [[0]] if family == "braid" else [[m for m in references if m < 40], [40]]
+        for m_values in groups:
+            m_args = [] if family == "braid" else ["-m", f"{m_values[0]}:{m_values[-1]}"]
+            for n in range(1, 41):
+                rows = {
+                    "totals": {m: [sum(references[m].column(j)) for j in range(1, n + 1)]
+                               for m in m_values},
+                    "one-dimensional": {m: references[m].rows[0][:n] for m in m_values},
+                }
+                header = "\t".join(["m", *map(str, range(1, n + 1))]) + "\n"
+                for mode, row in rows.items():
+                    table = ["table", family, *m_args, "-n", f"1:{n}", "--mode", mode]
+                    out, routes = run_routes(table, m_values)
+                    lines = ["\t".join([str(m), *map(str, row[m])]) + "\n" for m in m_values]
+                    assert out == header + "".join(lines), (family, mode, m_values, n)
+                    row_routes |= routes
+                    if len(m_values) == 1:  # a b-file holds one sequence
+                        values = row[m_values[0]]
+                        bfile = "".join(f"{j} {v}\n" for j, v in enumerate(values, start=1))
+                        assert run_routes([*table, "--format", "bfile"], m_values) == (
+                            bfile,
+                            routes,
+                        )
+    assert column_routes == row_routes == {False, True}
 
 
 def test_broken_pipe_exits_141(tmp_path):
