@@ -25,15 +25,7 @@ from .dsl import ParseError, evaluate_text
 from .exact import DEFAULT_ORDER
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .species import CompositionConstantTerm
-from .triangles import (
-    CATALAN_WORD,
-    SHI_WORD,
-    MatrixWord,
-    Triangle,
-    stirling1_matrix,
-    stirling2_matrix,
-    vector_times,
-)
+from .triangles import CATALAN_WORD, SHI_WORD, MatrixWord, Triangle, stirling2_matrix
 
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
 # 1.3 s for the three intervals, n = 6 about 5 s for [-1, 1] alone.
@@ -50,10 +42,6 @@ class Family:
     m_min: int | None  # the smallest valid m; None: the family takes no -m
     table_m: tuple[int, ...]  # the m values of `table` without -m
     verify_m_max: int | None  # the default `verify --m-max`; None: not verified
-
-    def triangle(self, m: int, size: int) -> Triangle:
-        """The flat counts T(k, n) for k, n <= size."""
-        return self.word.triangle(m, size)
 
 
 # Family(interval, word, m_min, table_m, verify_m_max)
@@ -75,7 +63,7 @@ class TableSpec:
 
 def formula_triangle(family: str, m: int, size: int) -> Triangle:
     """The family's whole triangle: the one place the CLI builds one."""
-    return FAMILIES[family].triangle(m, size)
+    return FAMILIES[family].word.triangle(m, size)
 
 
 def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
@@ -109,11 +97,7 @@ def cmd_count(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
     if args.n < 1:
         parser.error("n must be positive")
-    word = FAMILIES[args.family].word
-    if word.vectors_cheaper(m, args.n):
-        column = word.column(m, args.n)
-    else:
-        column = formula_triangle(args.family, m, args.n).column(args.n)
+    column = FAMILIES[args.family].word.column(m, args.n)
     if args.by_dim:
         print(" ".join(str(v) for v in column))
     else:
@@ -133,15 +117,12 @@ def _table_cells(spec: TableSpec) -> tuple[list[str], list[list[str]]]:
         return header, body
     # totals: the row 1^T T of column sums; one-dimensional: the row e_1^T T
     start = (1,) * n_max if spec.mode == "totals" else (1,) + (0,) * (n_max - 1)
-    s2, s1 = stirling2_matrix(n_max), stirling1_matrix(n_max)  # shared by every m
+    s2 = stirling2_matrix(n_max)  # shared by every m
     header = ["m"] + [str(n) for n in spec.n_values]
     body = []
     word = FAMILIES[spec.family].word
     for m in spec.m_values:
-        if word.vectors_cheaper(m, n_max):
-            row = word.row(m, start, s2, s1)
-        else:
-            row = vector_times(start, formula_triangle(spec.family, m, n_max))
+        row = word.row(m, start, s2)
         body.append([str(m)] + [str(row[n - 1]) for n in spec.n_values])
     return header, body
 

@@ -116,9 +116,9 @@ def _tokenize(text: str):
             tokens.append(("iterate", text[i : i + 2], pos))
             i += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i].isdecimal():
                 i += 1
             tokens.append(("int", text[start:i], pos))
             continue
@@ -130,7 +130,7 @@ def _tokenize(text: str):
             if ch == "E" and i + 1 < len(text) and text[i + 1] == "_":
                 i += 2
                 start = i
-                while i < len(text) and text[i].isdigit():
+                while i < len(text) and text[i].isdecimal():
                     i += 1
                 if start == i:
                     raise ParseError("'E_' must be followed by an integer", pos)

@@ -16,6 +16,11 @@ extended arrangements are matrix words in these:
 
 so entry (k, n) counts the k-dimensional flats of the n-dimensional
 arrangement with parameter m.
+
+Those two functions multiply the words out and serve as the reference.
+MatrixWord, which the CLI uses, builds lah_matrix ** m directly instead:
+lah_power runs the Stirling-style recurrence with weight m (n + k - 1),
+O(size^2) for every m.
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ def _stirling_recurrence(size, weight) -> Triangle:
     for n in range(1, size + 1):
         for k in range(1, n + 1):
             table[n][k] = table[n - 1][k - 1] + weight(n, k) * table[n - 1][k]
-    return _build(size, lambda k, n: table[n][k])
+    return Triangle(tuple(col[1:] for col in zip(*table))[1:])  # transposed, index 0 dropped
 
 
 def stirling2_matrix(size: int = DEFAULT_ORDER) -> Triangle:
@@ -94,6 +99,17 @@ def stirling2_matrix(size: int = DEFAULT_ORDER) -> Triangle:
 def stirling1_matrix(size: int = DEFAULT_ORDER) -> Triangle:
     """Entry (k, n) = c(n, k), the number of permutations of [n] with k cycles."""
     return _stirling_recurrence(size, lambda n, k: n - 1)
+
+
+def lah_power(m: int, size: int = DEFAULT_ORDER) -> Triangle:
+    """Entry (k, n) = m^(n-k) * Lah(n, k), the m-th power of lah_matrix.
+
+    Lah(n, k) follows the Stirling-style recurrence with weight n + k - 1,
+    and the factor m^(n-k) scales that weight by m; m = 0 gives the identity.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    return _stirling_recurrence(size, lambda n, k: m * (n + k - 1))
 
 
 def mat_mul(a: Triangle, b: Triangle) -> Triangle:
@@ -168,34 +184,27 @@ def catalan_triangle(m: int, size: int = DEFAULT_ORDER) -> Triangle:
 class MatrixWord:
     """The words T = (S c)^m of one family, times S on the right when ends_in_s.
 
-    triangle() builds all of T with shi_triangle or catalan_triangle.
-    column() and row() apply the word to one vector instead: 2m + 1
-    products of a Stirling matrix with a vector, each O(size^2).
+    (S c)^m is built by lah_power, so each method costs O(size^2) for the
+    power plus one product with S: a triangle product for triangle(), a
+    triangle-vector product for column() and row().
     """
 
     ends_in_s: bool
 
     def triangle(self, m: int, size: int) -> Triangle:
-        return (catalan_triangle if self.ends_in_s else shi_triangle)(m, size)
-
-    def vectors_cheaper(self, m: int, size: int) -> bool:
-        """Whether column() or row() takes fewer multiplications than triangle():
-        about (2m + 1) size^2 / 2 against (log2(m) + 2) size^3 / 6."""
-        return 3 * (2 * m + 1) <= (m.bit_length() + 1) * size
+        power = lah_power(m, size)
+        return mat_mul(power, stirling2_matrix(size)) if self.ends_in_s else power
 
     def column(self, m: int, n: int) -> tuple[int, ...]:
-        """T e_n, the counts T(k, n) for k = 1..n, evaluated right to left."""
-        s2, s1 = stirling2_matrix(n), stirling1_matrix(n)
-        vector = s2.column(n) if self.ends_in_s else (0,) * (n - 1) + (1,)
-        for _ in range(m):
-            vector = _times_vector(s2, _times_vector(s1, vector))
-        return vector
+        """T e_n, the counts T(k, n) for k = 1..n."""
+        if not self.ends_in_s:
+            return lah_power(m, n).column(n)
+        s_column = stirling2_matrix(n).column(n)  # first, so S is freed before the power is built
+        return _times_vector(lah_power(m, n), s_column)
 
-    def row(self, m: int, start, s2: Triangle, s1: Triangle) -> tuple[int, ...]:
-        """start^T T, evaluated left to right over S = s2 and c = s1 of len(start)."""
-        vector = start
-        for _ in range(m):
-            vector = vector_times(vector_times(vector, s2), s1)
+    def row(self, m: int, start, s2: Triangle) -> tuple[int, ...]:
+        """start^T T, with S = s2 of size len(start)."""
+        vector = vector_times(start, lah_power(m, len(start)))
         return vector_times(vector, s2) if self.ends_in_s else vector
 
 

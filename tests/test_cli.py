@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,45 +210,35 @@ def test_unexpected_error_exits_4(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
-def test_vector_route_matches_triangle_route(capsys, monkeypatch):
+def test_count_and_table_match_reference_triangles(capsys, monkeypatch):
     # Whole triangles from the reference words, for each family at every
-    # valid m <= 6 and at m = 40. The CLI builds the whole triangle for m = 40
-    # up to n = 34 and for m <= 6 up to n = 2..9, so n <= 40 sees both routes.
+    # valid m <= 6, at m = 40 and at m = 10^8, against `count` and `table`
+    # for every n <= 40.
+    big = 100_000_000
     references_by_family = {
         "braid": {0: catalan_triangle(0, 40)},
-        "catalan": {m: catalan_triangle(m, 40) for m in (*range(7), 40)},
-        "shi": {m: shi_triangle(m, 40) for m in (*range(1, 7), 40)},
+        "catalan": {m: catalan_triangle(m, 40) for m in (*range(7), 40, big)},
+        "shi": {m: shi_triangle(m, 40) for m in (*range(1, 7), 40, big)},
     }
-    built = []  # the m of each whole triangle the CLI builds
-    formula_triangle = cli.formula_triangle
-
-    def recorded(family, m, size):
-        built.append(m)
-        return formula_triangle(family, m, size)
-
-    monkeypatch.setattr(cli, "formula_triangle", recorded)
     parser = cli.build_parser()  # parsing reuses it; building it 1920 times is slow
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
 
-    def run_routes(argv, m_values):  # stdout, and for each m whether it built T
-        del built[:]
+    def stdout(argv):
         code, out, err = run(argv, capsys)
         assert (code, err) == (0, "")
-        return out, {m in built for m in m_values}
+        return out
 
-    column_routes, row_routes = set(), set()
     for family, references in references_by_family.items():
         for m, reference in references.items():
             m_args = [] if family == "braid" else ["-m", str(m)]
             for n in range(1, 41):
                 column = reference.column(n)
                 count = ["count", family, *m_args, "-n", str(n)]
-                out, routes = run_routes([*count, "--by-dim"], [m])
-                assert out == " ".join(map(str, column)) + "\n", (family, m, n)
-                assert run_routes(count, [m]) == (f"{sum(column)}\n", routes)
-                column_routes |= routes
+                by_dim = stdout([*count, "--by-dim"])
+                assert by_dim == " ".join(map(str, column)) + "\n", (family, m, n)
+                assert stdout(count) == f"{sum(column)}\n"
         # Rows as `table` asks for them: every m of a range in one command.
-        groups = [[0]] if family == "braid" else [[m for m in references if m < 40], [40]]
+        groups = [[0]] if family == "braid" else [[m for m in references if m < 40], [40], [big]]
         for m_values in groups:
             m_args = [] if family == "braid" else ["-m", f"{m_values[0]}:{m_values[-1]}"]
             for n in range(1, 41):
@@ -258,18 +250,12 @@ def test_vector_route_matches_triangle_route(capsys, monkeypatch):
                 header = "\t".join(["m", *map(str, range(1, n + 1))]) + "\n"
                 for mode, row in rows.items():
                     table = ["table", family, *m_args, "-n", f"1:{n}", "--mode", mode]
-                    out, routes = run_routes(table, m_values)
                     lines = ["\t".join([str(m), *map(str, row[m])]) + "\n" for m in m_values]
-                    assert out == header + "".join(lines), (family, mode, m_values, n)
-                    row_routes |= routes
+                    assert stdout(table) == header + "".join(lines), (family, mode, m_values, n)
                     if len(m_values) == 1:  # a b-file holds one sequence
                         values = row[m_values[0]]
                         bfile = "".join(f"{j} {v}\n" for j, v in enumerate(values, start=1))
-                        assert run_routes([*table, "--format", "bfile"], m_values) == (
-                            bfile,
-                            routes,
-                        )
-    assert column_routes == row_routes == {False, True}
+                        assert stdout([*table, "--format", "bfile"]) == bfile
 
 
 def test_broken_pipe_exits_141(tmp_path):
@@ -392,6 +378,44 @@ def test_eval_too_deep_exits_3(tmp_path, expr):
     assert proc.stderr == "error on line 1: expression nested too deeply\n"
 
 
+def test_eval_non_decimal_digit_exits_3():
+    # '³' passes str.isdigit() but not int()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "E o L+^o³ o E+"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: unknown token '³' (byte offset 8)\n"
+
+
+_BENCH_CONTRACT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import flatcount, flatcount.cli
+from tracer import Tracer
+tracer = Tracer()
+tracer.install()
+gone = [name for name in ("TableSpec", "render_table", "main") if not hasattr(flatcount.cli, name)]
+print(json.dumps({"missing": tracer.missing, "gone": gone}))
+"""
+
+
+def test_benchmark_finds_its_targets():
+    # bench/tracer.py wraps flatcount functions by name and bench/checks.py
+    # calls these cli names; a renamed target would make a per-layer metric
+    # read 0 instead of failing.
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    proc = subprocess.run(
+        [sys.executable, "-c", _BENCH_CONTRACT, str(bench)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout) == {"missing": [], "gone": []}
+
+
 def test_families_table():
     assert list(cli.FAMILIES) == ["braid", "catalan", "shi"]
     braid, catalan, shi = cli.FAMILIES.values()
@@ -401,9 +425,9 @@ def test_families_table():
     assert braid.interval(0) == GainInterval(0, 0)
     assert catalan.interval(2) == GainInterval(-2, 2)
     assert shi.interval(2) == GainInterval(-1, 2)
-    assert braid.triangle(0, 6) == catalan_triangle(0, 6)
-    assert catalan.triangle(2, 6) == catalan_triangle(2, 6)
-    assert shi.triangle(2, 6) == shi_triangle(2, 6)
+    assert braid.word.triangle(0, 6) == catalan_triangle(0, 6)
+    assert catalan.word.triangle(2, 6) == catalan_triangle(2, 6)
+    assert shi.word.triangle(2, 6) == shi_triangle(2, 6)
 
 
 @pytest.mark.parametrize("family", list(cli.FAMILIES))

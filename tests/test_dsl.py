@@ -105,6 +105,13 @@ def test_parse_errors_carry_positions():
     assert "exponent" in str(err.value)
     with pytest.raises(ParseError):
         parse("E_")
+    # str.isdigit() accepts superscripts, which int() rejects
+    with pytest.raises(ParseError) as err:
+        parse("E_²")
+    assert err.value.position == 0
+    with pytest.raises(ParseError) as err:
+        parse("L+^o³")
+    assert err.value.position == 4
     with pytest.raises(ParseError):
         parse("E o E+ )")
     with pytest.raises(ParseError):
@@ -142,6 +149,20 @@ def expressions(depth):
 @settings(max_examples=200, deadline=None)
 def test_parse_render_round_trip(expr):
     assert parse(render(expr)) == expr
+
+
+# Grammar tokens, digits int() rejects (² ³) and one it accepts (٣).
+_TOKENS = ["E", "E+", "E_", "L", "L+", "C", "C+", "X", "o", "∘", "^o", "+", "*",
+           "(", ")", " ", "0", "7", "12", "²", "³", "٣"]
+
+
+@given(st.text() | st.lists(st.sampled_from(_TOKENS)).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_parse_returns_ast_or_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
 
 
 def test_nesting_limit():

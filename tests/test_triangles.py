@@ -13,6 +13,7 @@ from flatcount.triangles import (
     catalan_triangle,
     identity_triangle,
     lah_matrix,
+    lah_power,
     lah_power_closed,
     mat_mul,
     mat_pow,
@@ -128,6 +129,10 @@ def test_mat_pow_equals_closed_form():
     sc = lah_matrix(12)
     for m in range(1, 6):
         assert mat_pow(sc, m) == lah_power_closed(m, 12)
+    for m in range(6):
+        assert lah_power(m, 12) == mat_pow(sc, m)
+        if m >= 1:
+            assert lah_power(m, 12) == lah_power_closed(m, 12)
 
 
 def test_catalan_triangle():
