@@ -25,7 +25,7 @@ from .dsl import ParseError, evaluate_text
 from .exact import DEFAULT_ORDER
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .species import CompositionConstantTerm
-from .triangles import CATALAN_WORD, SHI_WORD, MatrixWord, Triangle, stirling2_matrix
+from .triangles import Triangle, catalan_word, lah_power, total_flats
 
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
 # 1.3 s for the three intervals, n = 6 about 5 s for [-1, 1] alone.
@@ -35,20 +35,21 @@ LINEAR_N_MAX = 5
 @dataclass(frozen=True)
 class Family:
     """An arrangement family: the gains A(m) of its hyperplanes x_i - x_j = a,
-    its matrix word, and the m values the CLI accepts and uses by default."""
+    its triangle builder, and the m values the CLI accepts and uses by default."""
 
     interval: Callable[[int], GainInterval]
-    word: MatrixWord  # the matrix words T(m), one for each m
+    triangle: Callable[[int, int], Triangle]  # (m, size) -> its matrix word T(m)
     m_min: int | None  # the smallest valid m; None: the family takes no -m
     table_m: tuple[int, ...]  # the m values of `table` without -m
     verify_m_max: int | None  # the default `verify --m-max`; None: not verified
 
 
-# Family(interval, word, m_min, table_m, verify_m_max)
+# Family(interval, triangle, m_min, table_m, verify_m_max); the triangles
+# are (S c)^m S for braid and Catalan and (S c)^m for Shi, by recurrence.
 FAMILIES = {
-    "braid": Family(lambda m: GainInterval.braid(), CATALAN_WORD, None, (0,), None),
-    "catalan": Family(GainInterval.catalan, CATALAN_WORD, 0, (1, 2, 3, 4), 2),
-    "shi": Family(GainInterval.shi, SHI_WORD, 1, (1, 2, 3, 4, 5), 3),
+    "braid": Family(lambda m: GainInterval.braid(), catalan_word, None, (0,), None),
+    "catalan": Family(GainInterval.catalan, catalan_word, 0, (1, 2, 3, 4), 2),
+    "shi": Family(GainInterval.shi, lah_power, 1, (1, 2, 3, 4, 5), 3),
 }
 
 
@@ -62,8 +63,8 @@ class TableSpec:
 
 
 def formula_triangle(family: str, m: int, size: int) -> Triangle:
-    """The family's whole triangle: the one place the CLI builds one."""
-    return FAMILIES[family].word.triangle(m, size)
+    """The family's triangle: the one place the CLI builds counts by formula."""
+    return FAMILIES[family].triangle(m, size)
 
 
 def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
@@ -97,7 +98,7 @@ def cmd_count(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
     if args.n < 1:
         parser.error("n must be positive")
-    column = FAMILIES[args.family].word.column(m, args.n)
+    column = formula_triangle(args.family, m, args.n).column(args.n)
     if args.by_dim:
         print(" ".join(str(v) for v in column))
     else:
@@ -115,15 +116,16 @@ def _table_cells(spec: TableSpec) -> tuple[list[str], list[list[str]]]:
             column = triangle.column(n)
             body.append([str(n)] + [str(v) for v in column] + [""] * (n_max - n))
         return header, body
-    # totals: the row 1^T T of column sums; one-dimensional: the row e_1^T T
-    start = (1,) * n_max if spec.mode == "totals" else (1,) + (0,) * (n_max - 1)
-    s2 = stirling2_matrix(n_max)  # shared by every m
+    # totals: the column sums of T; one-dimensional: its row k = 1
     header = ["m"] + [str(n) for n in spec.n_values]
     body = []
-    word = FAMILIES[spec.family].word
     for m in spec.m_values:
-        row = word.row(m, start, s2)
-        body.append([str(m)] + [str(row[n - 1]) for n in spec.n_values])
+        triangle = formula_triangle(spec.family, m, n_max)
+        if spec.mode == "totals":
+            cells = [total_flats(triangle, n) for n in spec.n_values]
+        else:
+            cells = [triangle.entry(1, n) for n in spec.n_values]
+        body.append([str(m)] + [str(v) for v in cells])
     return header, body
 
 

@@ -144,6 +144,13 @@ def _tokenize(text: str):
     return tokens
 
 
+def _integer(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's limit on int() digits, if set
+        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -187,7 +194,7 @@ class _Parser:
             if kind != "int":
                 raise ParseError("'^o' needs an integer exponent", pos)
             self.advance()
-            node = Iterate(node, int(value))
+            node = Iterate(node, _integer(value, pos))
         return node
 
     def atom(self):
@@ -195,7 +202,7 @@ class _Parser:
         if kind == "atom":
             return Atom(value)
         if kind == "ksubscript":
-            return KSet(int(value))
+            return KSet(_integer(value, pos))
         if kind == "lparen":
             self.depth += 1
             if self.depth > MAX_DEPTH:

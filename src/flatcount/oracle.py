@@ -220,21 +220,29 @@ def enumerate_connected_blocks(members, interval: GainInterval) -> tuple[HeightF
     return _labelled_blocks(key, interval)
 
 
+def _checked_labels(n: int, labels):
+    """The labels of an n-dimensional arrangement: [n], or n distinct given values."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    if labels is None:
+        return range(1, n + 1)
+    labels = tuple(labels)
+    if len(labels) != n or len(set(labels)) != n:
+        raise ValueError(f"labels must be {n} distinct values")
+    return labels
+
+
 def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[int, int]:
     """Count flats of the interval arrangement by dimension.
 
-    Runs over all set partitions of the labels (default [n]) and multiplies
-    the per-block numbers of connected height classes, which depend only on
-    the block sizes; the dimension of a flat is its number of blocks. The
-    ambient space appears as the all-singletons partition, so the top count
-    is always 1.
+    Runs over all set partitions of the labels (default [n], else n distinct
+    values) and multiplies the per-block numbers of connected height classes,
+    which depend only on the block sizes; the dimension of a flat is its
+    number of blocks. The ambient space appears as the all-singletons
+    partition, so the top count is always 1.
     """
-    if labels is None:
-        if n < 1:
-            raise ValueError("n must be positive")
-        labels = range(1, n + 1)
     counts = Counter()
-    for part in set_partitions(labels):
+    for part in set_partitions(_checked_labels(n, labels)):
         ways = 1
         for block in part:
             ways *= len(_connected_blocks(len(block), interval))
@@ -244,12 +252,8 @@ def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[in
 
 def connected_partitions(n: int, interval: GainInterval, labels=None) -> list[ConnectedPartition]:
     """The full list of flats, sorted canonically (by block label/height data)."""
-    if labels is None:
-        if n < 1:
-            raise ValueError("n must be positive")
-        labels = range(1, n + 1)
     flats = []
-    for part in set_partitions(labels):
+    for part in set_partitions(_checked_labels(n, labels)):
         choices = [enumerate_connected_blocks(block, interval) for block in part]
         for combo in product(*choices):
             blocks = tuple(sorted(combo, key=lambda b: b.items))

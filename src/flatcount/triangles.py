@@ -18,9 +18,15 @@ so entry (k, n) counts the k-dimensional flats of the n-dimensional
 arrangement with parameter m.
 
 Those two functions multiply the words out and serve as the reference.
-MatrixWord, which the CLI uses, builds lah_matrix ** m directly instead:
-lah_power runs the Stirling-style recurrence with weight m (n + k - 1),
-O(size^2) for every m.
+The command line builds each word from a recurrence of its entries instead,
+O(size^2) for every m. lah_power builds (S c)^m with the Stirling-style
+recurrence P(n, k) = P(n-1, k-1) + m(n+k-1) P(n-1, k). catalan_word builds
+(S c)^m S, the exponential Riordan array [1, F] with u = e^x - 1 and
+F = u / (1 - m u). Since F' = (1 + m F)(1 + (m+1) F), its production matrix
+is tridiagonal (Deutsch, Ferrari and Rinaldi, "Production matrices and
+Riordan arrays", Ann. Comb. 13 (2009)), which gives the three-term recurrence
+
+    T(n, k) = T(n-1, k-1) + (2m+1) k T(n-1, k) + m(m+1) k(k+1) T(n-1, k+1).
 """
 
 from __future__ import annotations
@@ -112,6 +118,27 @@ def lah_power(m: int, size: int = DEFAULT_ORDER) -> Triangle:
     return _stirling_recurrence(size, lambda n, k: m * (n + k - 1))
 
 
+def catalan_word(m: int, size: int = DEFAULT_ORDER) -> Triangle:
+    """Entry (k, n) = T(n, k), the word (S c)^m S of catalan_triangle, built
+    by the three-term recurrence above from T(0, 0) = 1 and T(n, 0) = 0 for
+    n > 0. O(size^2) for every m; m = 0 gives the Stirling-2 matrix.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    a = [(2 * m + 1) * k for k in range(size + 1)]
+    b = [m * (m + 1) * k * (k + 1) for k in range(size + 1)]
+    column = [1, 0]  # T(n, k) for k = 0..n+1, here n = 0
+    columns = []
+    for n in range(1, size + 1):
+        column = [0] + [
+            column[k - 1] + a[k] * column[k] + b[k] * column[k + 1] for k in range(1, n)
+        ] + [1, 0]  # T(n, n) = 1
+        columns.append(column[1:-1] + [0] * (size - n))
+    return Triangle(tuple(zip(*columns)))
+
+
 def mat_mul(a: Triangle, b: Triangle) -> Triangle:
     """Product in the (k, n) orientation: (AB)(k, n) = sum_j A(k, j) B(j, n).
 
@@ -178,49 +205,6 @@ def catalan_triangle(m: int, size: int = DEFAULT_ORDER) -> Triangle:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return mat_mul(mat_pow(lah_matrix(size), m), stirling2_matrix(size))
-
-
-@dataclass(frozen=True)
-class MatrixWord:
-    """The words T = (S c)^m of one family, times S on the right when ends_in_s.
-
-    (S c)^m is built by lah_power, so each method costs O(size^2) for the
-    power plus one product with S: a triangle product for triangle(), a
-    triangle-vector product for column() and row().
-    """
-
-    ends_in_s: bool
-
-    def triangle(self, m: int, size: int) -> Triangle:
-        power = lah_power(m, size)
-        return mat_mul(power, stirling2_matrix(size)) if self.ends_in_s else power
-
-    def column(self, m: int, n: int) -> tuple[int, ...]:
-        """T e_n, the counts T(k, n) for k = 1..n."""
-        if not self.ends_in_s:
-            return lah_power(m, n).column(n)
-        s_column = stirling2_matrix(n).column(n)  # first, so S is freed before the power is built
-        return _times_vector(lah_power(m, n), s_column)
-
-    def row(self, m: int, start, s2: Triangle) -> tuple[int, ...]:
-        """start^T T, with S = s2 of size len(start)."""
-        vector = vector_times(start, lah_power(m, len(start)))
-        return vector_times(vector, s2) if self.ends_in_s else vector
-
-
-SHI_WORD = MatrixWord(ends_in_s=False)  # shi_triangle: (S c)^m
-CATALAN_WORD = MatrixWord(ends_in_s=True)  # catalan_triangle: (S c)^m S
-
-
-def _times_vector(a: Triangle, vector) -> tuple[int, ...]:
-    """a v for a column v: only j >= k contributes to (a v)(k)."""
-    return tuple(sum(map(mul, row[k0:], vector[k0:])) for k0, row in enumerate(a.rows))
-
-
-def vector_times(vector, a: Triangle) -> tuple[int, ...]:
-    """v^T a for a row v: only k <= n contributes to (v^T a)(n)."""
-    columns = zip(*a.rows)
-    return tuple(sum(map(mul, vector, column[: n0 + 1])) for n0, column in enumerate(columns))
 
 
 def shi_count_closed(m: int, n: int, k: int) -> int:

@@ -425,9 +425,9 @@ def test_families_table():
     assert braid.interval(0) == GainInterval(0, 0)
     assert catalan.interval(2) == GainInterval(-2, 2)
     assert shi.interval(2) == GainInterval(-1, 2)
-    assert braid.word.triangle(0, 6) == catalan_triangle(0, 6)
-    assert catalan.word.triangle(2, 6) == catalan_triangle(2, 6)
-    assert shi.word.triangle(2, 6) == shi_triangle(2, 6)
+    assert braid.triangle(0, 6) == catalan_triangle(0, 6)
+    assert catalan.triangle(2, 6) == catalan_triangle(2, 6)
+    assert shi.triangle(2, 6) == shi_triangle(2, 6)
 
 
 @pytest.mark.parametrize("family", list(cli.FAMILIES))

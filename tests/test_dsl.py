@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -116,6 +118,18 @@ def test_parse_errors_carry_positions():
         parse("E o E+ )")
     with pytest.raises(ParseError):
         parse("")
+    # Integers past the interpreter's default limit on int() digits, where it
+    # has one; the command line lifts the limit, library callers may not.
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            for text, position in (("E_" + "1" * 5000, 0), ("L+^o" + "1" * 5000, 4)):
+                with pytest.raises(ParseError) as err:
+                    parse(text)
+                assert err.value.position == position
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_render_canonical():

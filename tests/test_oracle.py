@@ -159,6 +159,20 @@ def test_symmetric_relabeling_invariance():
         )
 
 
+def test_labels_must_be_n_distinct_values():
+    interval = GainInterval(-1, 1)
+    for labels in ([1, 2], [1, 1, 2], [1, 2, 3, 4]):
+        with pytest.raises(ValueError):
+            enumerate_flats_gain(3, interval, labels=labels)
+        with pytest.raises(ValueError):
+            connected_partitions(3, interval, labels=labels)
+    with pytest.raises(ValueError):
+        enumerate_flats_gain(0, interval, labels=[])
+    expected = enumerate_flats_gain(3, interval)
+    assert enumerate_flats_gain(3, interval, labels=[5, 2, 9]) == expected
+    assert len(connected_partitions(3, interval, labels=(5, 2, 9))) == sum(expected.values())
+
+
 def _levels_of(mapping):
     heights = sorted(set(mapping.values()))
     blocks = [sorted(v for v, h in mapping.items() if h == a) for a in heights]

@@ -11,6 +11,7 @@ from flatcount.exact import factorial
 from flatcount.triangles import (
     Triangle,
     catalan_triangle,
+    catalan_word,
     identity_triangle,
     lah_matrix,
     lah_power,
@@ -139,6 +140,12 @@ def test_catalan_triangle():
     assert catalan_triangle(1, 5).column(4) == (75, 79, 18, 1)
     assert catalan_triangle(0, 6) == stirling2_matrix(6)
     assert catalan_triangle(2, 5).entry(1, 5) == 4501
+    # The three-term recurrence against the multiplied-out word
+    for m in (*range(6), 100_000_000):
+        assert catalan_word(m, 12) == catalan_triangle(m, 12), m
+    assert catalan_word(3, 1) == identity_triangle(1)
+    with pytest.raises(ValueError):
+        catalan_word(-1, 5)
 
 
 def test_shi_triangle():
