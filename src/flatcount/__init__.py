@@ -7,7 +7,6 @@ partitions or exact linear algebra. It also realizes the explicit
 bijections between nested-list structures and one-dimensional flats.
 """
 
-from .exact import DEFAULT_ORDER, binomial, factorial
 from .species import (
     CompositionConstantTerm,
     CountSeq,
@@ -22,6 +21,7 @@ from .species import (
     seq_sets_nonempty,
 )
 from .triangles import (
+    DEFAULT_ORDER,
     Triangle,
     catalan_triangle,
     identity_triangle,

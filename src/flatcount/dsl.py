@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import DEFAULT_ORDER
 from .species import (
     CompositionConstantTerm,
     CountSeq,
@@ -34,6 +33,7 @@ from .species import (
     seq_sets,
     seq_sets_nonempty,
 )
+from .triangles import DEFAULT_ORDER
 
 
 # Parsing recurses once per parenthesis and evaluation once per operator;

@@ -15,12 +15,12 @@ the flats are provided:
 
 Both enumerate every flat, so their cost grows with the number of flats;
 they exist to check the matrix formulas, and the README gives measured
-times. The gain-graph route grows each connected block from one position
-along edges of the gain graph, so it only visits connected height vectors,
-and it counts each partition from per-size block counts. The linear route
-reduces over the integers, which is exact because every pivot of these
-graphic systems is +1 or -1. Both are practical up to about n = 6 and
-n = 5 respectively.
+times. The gain-graph route builds the connected blocks of each size from
+the cached blocks one size smaller, inserting one position adjacent to a
+placed one, so it only visits connected height vectors, and it counts each
+partition from per-size block counts. The linear route reduces over the
+integers, which is exact because every pivot of these graphic systems is +1
+or -1. Both are practical up to about n = 7 and n = 5 respectively.
 """
 
 from __future__ import annotations
@@ -167,38 +167,34 @@ def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...
     """Height vectors of the connected blocks on `size` ordered labels.
 
     Adjacency depends only on the order of the labels, so the vectors serve
-    every label set of this size. The blocks are grown from position 0 at
-    height 0: each step attaches an unplaced position j to a placed position
-    i through an edge whose gain a lies in the interval, at height h_i + a
-    when i < j and h_i - a otherwise. Every connected block is reached, by
-    attaching along a spanning tree in breadth-first order from position 0;
-    the set of partial assignments drops the other orders that reach it.
+    every label set of this size. A block of size r > 1 is a block of size
+    r - 1 with one position inserted at some index j, at a height adjacent
+    to a placed position i: h_i + a when i < j and h_i - a otherwise, for a
+    gain a in the interval. Every connected block is reached, because
+    removing a non-cut vertex, which every connected graph has, leaves a
+    connected block one size smaller. Every block reached is connected,
+    because a vertex adjacent to a connected block keeps the block connected.
     The result is normalized to minimum 0 and in lexicographic order.
     """
+    if size == 1:
+        return ((0,),)
     lo, hi = interval.lo, interval.hi
-    level = {(0,) + (None,) * (size - 1)}
-    for _ in range(size - 1):
-        grown = set()
-        for heights in level:
-            placed = [(i, h) for i, h in enumerate(heights) if h is not None]
-            for j, height in enumerate(heights):
-                if height is not None:
-                    continue
-                reach = set()
-                for i, h in placed:
-                    if i < j:
-                        reach.update(range(h + lo, h + hi + 1))
-                    else:
-                        reach.update(range(h - hi, h - lo + 1))
-                head, tail = heights[:j], heights[j + 1 :]
-                grown.update([head + (x,) + tail for x in reach])
-        level = grown
-    blocks = []
-    for heights in level:
-        low = min(heights)
-        blocks.append(tuple(h - low for h in heights))
-    blocks.sort()
-    return tuple(blocks)
+    grown = set()
+    for heights in _connected_blocks(size - 1, interval):
+        for j in range(size):
+            reach = set()
+            for i, h in enumerate(heights):
+                if i < j:
+                    reach.update(range(h + lo, h + hi + 1))
+                else:
+                    reach.update(range(h - hi, h - lo + 1))
+            head, tail = heights[:j], heights[j:]
+            for x in reach:
+                if x < 0:  # the new position is the lowest: renormalize
+                    grown.add(tuple(h - x for h in head) + (0,) + tuple(h - x for h in tail))
+                else:
+                    grown.add(head + (x,) + tail)
+    return tuple(sorted(grown))
 
 
 @lru_cache(maxsize=None)

@@ -15,10 +15,10 @@ are exact integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
 from operator import mul
 
-from .exact import DEFAULT_ORDER, binomial, factorial
-from .triangles import Triangle
+from .triangles import DEFAULT_ORDER, Triangle
 
 
 class CompositionConstantTerm(ValueError):
@@ -60,7 +60,7 @@ class CountSeq:
         _same_order(self, other)
         return CountSeq(
             tuple(
-                sum(binomial(n, i) * self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1))
+                sum(comb(n, i) * self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1))
                 for n in range(self.order + 1)
             )
         )

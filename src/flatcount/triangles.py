@@ -32,9 +32,12 @@ Riordan arrays", Ann. Comb. 13 (2009)), which gives the three-term recurrence
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 from operator import mul
 
-from .exact import DEFAULT_ORDER, factorial
+# Default truncation order for sequences and triangles; covers every shipped
+# reference table with headroom.
+DEFAULT_ORDER = 12
 
 
 @dataclass(frozen=True)

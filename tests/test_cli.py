@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatcount import cli
 from flatcount.oracle import GainInterval
@@ -70,6 +72,20 @@ def test_eval_errors_exit_3(capsys):
     code, _, err = run(["eval", "E o ("], capsys)
     assert code == 3
     assert "error" in err
+
+
+def test_eval_file_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xff\xfeE o E+\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "--file", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith(f"flatcount: error: {path}: 'utf-8' codec can't decode")
+    assert "internal error" not in proc.stderr
 
 
 def test_oracle(capsys):
@@ -446,3 +462,83 @@ def test_family_commands_agree(family, capsys):
     for argv in (["count", family, *bad, "-n", "3"], ["oracle", family, *bad, "-n", "3"]):
         assert run(argv, capsys)[0] == 2
     assert run(["table", family, *bad], capsys)[0] == 2
+
+
+# Fuzzed argv: a subcommand, its required arguments and any of its options,
+# in any order, with in-range and out-of-range values and at most one junk
+# token inserted anywhere. Junk holds no decimal digits and every option value
+# is bounded, so no command can read a size past its bound: oracle -n and
+# verify --n-max <= 4, count and table -n <= 60, --order <= 20, |m| <= 6.
+_JUNK = st.sampled_from(["", "-", "--", "-x", "--bogus", ":", "x:y", "-h"]) | st.text(
+    st.characters(blacklist_categories=("Nd", "Cs")), max_size=4
+)
+_FAMILY = st.sampled_from([*cli.FAMILIES, "linial"]).map(lambda family: [family])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _ranges(lo, hi):
+    pairs = st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+    return _ints(lo, hi) | pairs.map(lambda pair: f"{pair[0]}:{pair[1]}")
+
+
+def _option(flag, values):
+    return values.map(lambda value: [flag, value])
+
+
+def _maybe(strategy):
+    return strategy | st.just([])
+
+
+def _arguments(command, files):
+    """Strategies for the arguments of a subcommand, each drawing the tokens of
+    one argument; an optional argument may draw none."""
+    if command == "count":
+        return [_FAMILY, _option("-n", _ints(-6, 60)), _maybe(_option("-m", _ints(-6, 6))),
+                _maybe(st.just(["--by-dim"]))]
+    if command == "table":
+        return [_FAMILY, _maybe(_option("-m", _ranges(-6, 6))),
+                _maybe(_option("-n", _ranges(-6, 60))),
+                _maybe(_option("--mode", st.sampled_from(["totals", "by-dimension",
+                                                          "one-dimensional"]))),
+                _maybe(_option("--format", st.sampled_from(["tsv", "csv", "markdown", "bfile"])))]
+    if command == "eval":
+        exprs = st.sampled_from(["E o E+", "E o L+^o6 o E+", "C+ * E_2 + X", "E o L", "E o ("])
+        return [_maybe(exprs.map(lambda expr: [expr])), _maybe(_option("--order", _ints(-6, 20))),
+                _maybe(_option("--file", st.sampled_from(files)))]
+    if command == "oracle":
+        return [_FAMILY, _option("-n", _ints(-6, 4)), _maybe(_option("-m", _ints(-6, 6))),
+                _maybe(_option("--method", st.sampled_from(["gaingraph", "linear"])))]
+    if command == "verify":
+        # without --n-max, verify runs to n = 5, past the bound
+        return [_option("--n-max", _ints(-6, 4)), _maybe(_option("--m-max", _ints(-6, 6))),
+                _maybe(st.just(["--linear"]))]
+    return []
+
+
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("argv")
+    (folder / "good.txt").write_text("E o E+\n\nL+^o2\n", encoding="utf-8")
+    (folder / "bad.txt").write_text("E o L\n", encoding="utf-8")
+    (folder / "latin.txt").write_bytes(b"\xff\xfeE o E+\n")
+    paths = [folder / name for name in ("good.txt", "bad.txt", "latin.txt", "missing")]
+    return [str(path) for path in paths + [folder]]  # a folder cannot be read either
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(eval_files, data):
+    command = data.draw(st.sampled_from(["count", "table", "eval", "oracle", "verify", "bogus"]))
+    chunks = [data.draw(argument) for argument in _arguments(command, eval_files)]
+    tokens = [token for chunk in data.draw(st.permutations(chunks)) for token in chunk]
+    for junk in data.draw(st.lists(_JUNK, max_size=1)):
+        tokens.insert(data.draw(st.integers(0, len(tokens))), junk)
+    argv = [command] + tokens
+    try:
+        code = cli.main(argv)
+    except SystemExit as err:
+        code = err.code
+    assert code in (0, 1, 2, 3), argv

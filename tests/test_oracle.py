@@ -14,7 +14,7 @@ from flatcount.oracle import (
     _add_row,
     _pivot,
 )
-from flatcount.triangles import catalan_triangle, shi_triangle
+from flatcount.triangles import catalan_triangle, catalan_word, lah_power, shi_triangle
 from reference_counts import TRIANGLES_5
 
 
@@ -137,6 +137,13 @@ def test_flats_gain_matches_triangles():
         for n in range(1, 5):
             counts = enumerate_flats_gain(n, interval)
             assert tuple(counts.get(k, 0) for k in range(1, n + 1)) == rows[n - 1]
+
+
+def test_flats_gain_at_n7():
+    # Size 7 is one induction step past every other oracle test.
+    for interval, word in ((GainInterval(-1, 1), catalan_word), (GainInterval(0, 1), lah_power)):
+        counts = enumerate_flats_gain(7, interval)
+        assert tuple(counts.get(k, 0) for k in range(1, 8)) == word(1, 7).column(7)
 
 
 def test_top_flat_unique():

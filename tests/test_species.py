@@ -1,11 +1,11 @@
 from itertools import combinations, permutations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcount.enumeration import set_partitions
-from flatcount.exact import binomial, factorial
 from flatcount.species import (
     CompositionConstantTerm,
     CountSeq,
@@ -172,7 +172,7 @@ def _partial_bell_reference(n: int, k: int, z) -> int:
     for kk in range(1, k + 1):
         for nn in range(kk, n - k + kk + 1):
             table[nn][kk] = sum(
-                binomial(nn - 1, i - 1) * z[i - 1] * table[nn - i][kk - 1]
+                comb(nn - 1, i - 1) * z[i - 1] * table[nn - i][kk - 1]
                 for i in range(1, nn - kk + 2)
             )
     return table[n][k]

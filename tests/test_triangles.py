@@ -1,3 +1,5 @@
+from math import factorial
+
 import pytest
 
 from flatcount.species import (
@@ -7,7 +9,6 @@ from flatcount.species import (
     seq_lists_nonempty,
     seq_sets_nonempty,
 )
-from flatcount.exact import factorial
 from flatcount.triangles import (
     Triangle,
     catalan_triangle,
