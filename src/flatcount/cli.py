@@ -281,7 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="evaluate a species expression")
     ev.add_argument("expr", nargs="?", default=None)
     ev.add_argument("--file", default=None, help="read expressions from a file, one per line")
-    ev.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    ev.add_argument(
+        "--order",
+        type=int,
+        default=DEFAULT_ORDER,
+        help=f"print a_0..a_ORDER (default {DEFAULT_ORDER}); 'E o L+^o3 o E+' takes 0.3 s "
+        "at order 100, 3 s at 200 and 19 s at 300",
+    )
 
     orc = sub.add_parser("oracle", help="brute-force flat counts (small n)")
     orc.add_argument("family", choices=FAMILIES)

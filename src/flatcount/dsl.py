@@ -3,17 +3,16 @@ to counting sequences.
 
 Grammar (whitespace insignificant, `∘` accepted wherever `o` appears):
 
-    expr   ::= term { "+" term }
-    term   ::= factor { "*" factor }
-    factor ::= power { "o" power }
-    power  ::= atom { "^o" INT }
-    atom   ::= "E" | "E+" | "E_" INT | "L" | "L+" | "C" | "C+" | "X"
-             | "(" expr ")"
+    expr  ::= power { BINARY power }
+    power ::= atom { "^o" INT }
+    atom  ::= "E" | "E+" | "E_" INT | "L" | "L+" | "C" | "C+" | "X" | "(" expr ")"
 
-`o` is composition and `^o` iterated self-composition; both bind more
-tightly than `*`, which binds more tightly than `+`. `o` and `*` associate
-to the left. `E+`, `L+`, `C+` and `E_k` are single tokens with no interior
-whitespace; `X` is the singleton species, the identity for composition.
+The binary operators are, loosest first, `+`, `*` and `o` (composition),
+all associating to the left; `^o` (iterated self-composition) binds more
+tightly than any of them. `E+`, `L+`, `C+` and `E_k` are single tokens with
+no interior whitespace; `X` is the singleton species, the identity for
+composition. One regular expression scans the text in one pass and the
+parser climbs the precedence table _BINARY, so parsing takes linear time.
 
 Parentheses, and operators on any path from the root to an atom, may nest at
 most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep).
@@ -21,6 +20,7 @@ most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .species import (
@@ -36,7 +36,7 @@ from .species import (
 from .triangles import DEFAULT_ORDER
 
 
-# Parsing recurses once per parenthesis and evaluation once per operator;
+# Parsing recurses two frames per parenthesis, evaluation one per operator;
 # this bound keeps both well inside Python's recursion limit.
 MAX_DEPTH = 100
 _TOO_DEEP = "expression nested too deeply"
@@ -85,62 +85,54 @@ class Iterate:
     times: int
 
 
-_ATOM_NAMES = ("E", "L", "C", "X")
+_ATOM_SEQUENCES = {
+    "E": seq_sets,
+    "E+": seq_sets_nonempty,
+    "L": seq_lists,
+    "L+": seq_lists_nonempty,
+    "C": seq_cycles_nonempty,
+    "C+": seq_cycles_nonempty,
+    "X": lambda order: seq_k_set(order, 1),
+}
+
+_COMPOSE = "o∘"  # the spellings of `o`, alone and in `^o`
+# The binary operators, loosest first: (token spellings, AST class, rendered text).
+_BINARY = (
+    ("+", Sum, " + "),
+    ("*", Product, " * "),
+    (_COMPOSE, Compose, " o "),
+)
+_LEVEL = {char: level for level, (spellings, _, _) in enumerate(_BINARY) for char in spellings}
+
+# One token per match, tried in this order; `unknown` takes any other
+# character, so the matches tile the text. `\s` and `\d` are exactly
+# str.isspace and str.isdecimal. A symbol (an operator or a parenthesis) is
+# its own kind.
+_TOKEN = re.compile(
+    r"(?P<space>\s+)|(?P<int>\d+)|(?P<ksubscript>E_\d*)"
+    f"|(?P<atom>{'|'.join(map(re.escape, sorted(_ATOM_SEQUENCES, key=len, reverse=True)))})"
+    f"|(?P<iterate>\\^[{_COMPOSE}]?)|(?P<symbol>[(){re.escape(''.join(_LEVEL))}])|(?P<unknown>.)"
+)
 
 
 def _tokenize(text: str):
-    tokens = []
-    i = 0
-
-    def byte_offset(pos):
-        return len(text[:pos].encode("utf-8"))
-
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    """(kind, value, byte offset) triples in one pass, ending with an end token."""
+    tokens, offset = [], 0
+    for match in _TOKEN.finditer(text):
+        kind, value, pos = match.lastgroup, match.group(), offset
+        if kind == "unknown":  # before encoding: a lone surrogate has no UTF-8
+            raise ParseError(f"unknown token {value!r}", pos)
+        offset += len(value.encode("utf-8"))
+        if kind == "space":
             continue
-        pos = byte_offset(i)
-        if ch in "()+*":
-            kind = {"(": "lparen", ")": "rparen", "+": "plus", "*": "star"}[ch]
-            tokens.append((kind, ch, pos))
-            i += 1
-            continue
-        if ch in ("o", "∘"):
-            tokens.append(("compose", ch, pos))
-            i += 1
-            continue
-        if ch == "^":
-            if i + 1 >= len(text) or text[i + 1] not in ("o", "∘"):
-                raise ParseError("'^' must be followed by 'o'", pos)
-            tokens.append(("iterate", text[i : i + 2], pos))
-            i += 2
-            continue
-        if ch.isdecimal():
-            start = i
-            while i < len(text) and text[i].isdecimal():
-                i += 1
-            tokens.append(("int", text[start:i], pos))
-            continue
-        if ch in _ATOM_NAMES:
-            if ch != "X" and i + 1 < len(text) and text[i + 1] == "+":
-                tokens.append(("atom", ch + "+", pos))
-                i += 2
-                continue
-            if ch == "E" and i + 1 < len(text) and text[i + 1] == "_":
-                i += 2
-                start = i
-                while i < len(text) and text[i].isdecimal():
-                    i += 1
-                if start == i:
-                    raise ParseError("'E_' must be followed by an integer", pos)
-                tokens.append(("ksubscript", text[start:i], pos))
-                continue
-            tokens.append(("atom", ch, pos))
-            i += 1
-            continue
-        raise ParseError(f"unknown token {ch!r}", pos)
-    tokens.append(("end", "", byte_offset(len(text))))
+        if value == "^":
+            raise ParseError("'^' must be followed by 'o'", pos)
+        if kind == "ksubscript":
+            value = value[2:]
+            if not value:
+                raise ParseError("'E_' must be followed by an integer", pos)
+        tokens.append((value if kind == "symbol" else kind, value, pos))
+    tokens.append(("end", "", offset))
     return tokens
 
 
@@ -165,36 +157,19 @@ class _Parser:
         self.index += 1
         return token
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] == "plus":
-            self.advance()
-            node = Sum(node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] == "star":
-            self.advance()
-            node = Product(node, self.factor())
-        return node
-
-    def factor(self):
-        node = self.power()
-        while self.peek()[0] == "compose":
-            self.advance()
-            node = Compose(node, self.power())
-        return node
-
-    def power(self):
+    def expr(self, loosest=0):
+        """An atom with its `^o` exponents, then, by precedence climbing, the
+        chain of _BINARY operators of level `loosest` or tighter after it."""
         node = self.atom()
         while self.peek()[0] == "iterate":
             self.advance()
-            kind, value, pos = self.peek()
+            kind, value, pos = self.advance()
             if kind != "int":
                 raise ParseError("'^o' needs an integer exponent", pos)
-            self.advance()
             node = Iterate(node, _integer(value, pos))
+        while (level := _LEVEL.get(self.peek()[0], -1)) >= loosest:
+            self.advance()
+            node = _BINARY[level][1](node, self.expr(level + 1))
         return node
 
     def atom(self):
@@ -203,13 +178,13 @@ class _Parser:
             return Atom(value)
         if kind == "ksubscript":
             return KSet(_integer(value, pos))
-        if kind == "lparen":
+        if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:
                 raise ParseError(_TOO_DEEP)
             node = self.expr()
             closing_kind, _, closing_pos = self.advance()
-            if closing_kind != "rparen":
+            if closing_kind != ")":
                 raise ParseError("unmatched '('", closing_pos)
             self.depth -= 1
             return node
@@ -228,6 +203,10 @@ def parse(text: str):
     return node
 
 
+# Each binary AST class's (precedence, rendered text); Iterate binds tightest.
+_RENDERED = {cls: (level, text) for level, (_, cls, text) in enumerate(_BINARY, start=1)}
+
+
 def _operator_depth(expr) -> int:
     """Most operators on a path from expr to an atom, found without recursion."""
     deepest, stack = 0, [(expr, 0)]
@@ -236,12 +215,9 @@ def _operator_depth(expr) -> int:
         deepest = max(deepest, depth)
         if isinstance(node, Iterate):
             stack.append((node.base, depth + 1))
-        elif isinstance(node, (Sum, Product, Compose)):
+        elif type(node) in _RENDERED:
             stack += [(node.left, depth + 1), (node.right, depth + 1)]
     return deepest
-
-
-_PREC = {Sum: 1, Product: 2, Compose: 3, Iterate: 4}
 
 
 def render(expr) -> str:
@@ -252,28 +228,17 @@ def render(expr) -> str:
             return node.name
         if isinstance(node, KSet):
             return f"E_{node.k}"
-        prec = _PREC[type(node)]
         if isinstance(node, Iterate):
+            prec = len(_BINARY) + 1
             text = f"{walk(node.base, prec, False)}^o{node.times}"
         else:
-            op = {Sum: " + ", Product: " * ", Compose: " o "}[type(node)]
+            prec, op = _RENDERED[type(node)]
             text = walk(node.left, prec, False) + op + walk(node.right, prec, True)
         if prec < parent_prec or (prec == parent_prec and is_right):
             return f"({text})"
         return text
 
     return walk(expr, 0, False)
-
-
-_ATOM_SEQUENCES = {
-    "E": seq_sets,
-    "E+": seq_sets_nonempty,
-    "L": seq_lists,
-    "L+": seq_lists_nonempty,
-    "C": seq_cycles_nonempty,
-    "C+": seq_cycles_nonempty,
-    "X": lambda order: seq_k_set(order, 1),
-}
 
 
 def evaluate(expr, order: int = DEFAULT_ORDER) -> CountSeq:

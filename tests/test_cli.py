@@ -378,8 +378,13 @@ def test_verify_rejects_negative_m_max(capsys):
 
 @pytest.mark.parametrize(
     "expr",
-    ["(" * 3000 + "E" + ")" * 3000, " + ".join(["X"] * 5000), " o ".join(["L+"] * 3000)],
-    ids=["parentheses", "sum", "composition"],
+    [
+        "(" * 3000 + "E" + ")" * 3000,
+        " + ".join(["X"] * 5000),
+        " o ".join(["L+"] * 3000),
+        "X ∘ " * 50_000 + "X",
+    ],
+    ids=["parentheses", "sum", "composition", "long-composition"],
 )
 def test_eval_too_deep_exits_3(tmp_path, expr):
     path = tmp_path / "deep.txt"

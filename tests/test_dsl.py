@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +53,34 @@ def test_unicode_compose():
 
 def test_whitespace_insensitive():
     assert parse("EoL+^o2oE+") == parse("E o L+^o2 o E+")
+    # Unicode whitespace, multibyte or not, is whitespace like a space
+    for space in ("\u3000", "\u2003", "\x1c"):
+        assert parse(f"{space}E{space}o(L+^o{space}2)*X{space}+E+{space}") == parse(
+            "E o (L+^o2) * X + E+"
+        )
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("E ∘ Q", "unknown token 'Q' (byte offset 6)"),
+        ("E ∘ L+^ o", "'^' must be followed by 'o' (byte offset 8)"),
+        ("E ∘ E_o", "'E_' must be followed by an integer (byte offset 6)"),
+        ("E ∘ L+^o X", "'^o' needs an integer exponent (byte offset 11)"),
+        ("(E ∘ E+ E", "unmatched '(' (byte offset 10)"),
+        ("E ∘ )", "unexpected token ')' (byte offset 6)"),
+        ("E ∘ E+ E", "unexpected token 'E' (byte offset 9)"),
+        ("E ∘ ∘ E", "unexpected token '∘' (byte offset 6)"),
+        ("∘E", "unexpected token '∘' (byte offset 0)"),
+        ("E ∘ ^∘2", "unexpected token '^∘' (byte offset 6)"),
+        ("E ∘", "unexpected end of input (byte offset 5)"),
+    ],
+)
+def test_error_offsets_count_bytes(text, message):
+    # `∘` is three bytes of UTF-8, so each offset after it is two past its index
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
 
 
 def test_eval_atoms():
@@ -165,18 +194,20 @@ def test_parse_render_round_trip(expr):
     assert parse(render(expr)) == expr
 
 
-# Grammar tokens, digits int() rejects (² ³) and one it accepts (٣).
+# Grammar tokens, a lone '^', Unicode whitespace (U+3000, U+001C), digits int()
+# rejects (² ³) and one it accepts (٣).
 _TOKENS = ["E", "E+", "E_", "L", "L+", "C", "C+", "X", "o", "∘", "^o", "+", "*",
-           "(", ")", " ", "0", "7", "12", "²", "³", "٣"]
+           "(", ")", " ", "0", "7", "12", "²", "³", "٣", "^", "\u3000", "\x1c"]
 
 
 @given(st.text() | st.lists(st.sampled_from(_TOKENS)).map("".join))
 @settings(max_examples=500, deadline=None)
 def test_parse_returns_ast_or_parse_error(text):
     try:
-        parse(text)
+        expr = parse(text)
     except ParseError:
-        pass
+        return
+    assert parse(render(expr)) == expr
 
 
 def test_nesting_limit():
@@ -194,3 +225,12 @@ def test_nesting_limit():
     ):
         with pytest.raises(ParseError, match="^expression nested too deeply$"):
             parse(text)
+
+
+def test_long_input_fails_fast():
+    # Scanning and parsing take time linear in the length of the text
+    text = "X ∘ " * 50_000 + "X"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="^expression nested too deeply$"):
+        parse(text)
+    assert time.perf_counter() - start < 3
