@@ -36,10 +36,8 @@ from .triangles import (
     total_flats,
 )
 from .oracle import (
-    ConnectedPartition,
     GainInterval,
     HeightFunction,
-    connected_partitions,
     enumerate_connected_blocks,
     enumerate_flats_gain,
     enumerate_flats_linear,
@@ -52,11 +50,8 @@ from .bijections import (
     enumerate_nested_lists,
     height_to_catalan_structure,
     height_to_shi_structure,
-    render_height_table,
-    render_structure,
     shi_structure_to_height,
     structure_depth,
-    structure_labels,
 )
 from .dsl import ParseError, evaluate, evaluate_text, parse, render
 

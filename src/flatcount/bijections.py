@@ -31,7 +31,7 @@ from itertools import permutations, product
 from operator import itemgetter
 
 from .enumeration import ordered_set_partitions
-from .oracle import HeightFunction
+from .oracle import HeightFunction, sorted_labels
 
 
 class NotConnected(ValueError):
@@ -45,23 +45,6 @@ def structure_depth(s) -> int:
         s = s[0]
         depth += 1
     return depth
-
-
-def structure_labels(s) -> tuple[int, ...]:
-    """All labels of a structure, ascending."""
-    out = []
-
-    def walk(node):
-        if isinstance(node, tuple):
-            for child in node:
-                walk(child)
-        elif isinstance(node, frozenset):
-            out.extend(node)
-        else:
-            out.append(node)
-
-    walk(s)
-    return tuple(sorted(out))
 
 
 def _walk(node, t, gap, leaves, gaps):
@@ -235,9 +218,7 @@ def _structures(labels: tuple[int, ...], depth: int, base):
 def enumerate_catalan_structures(labels, m: int):
     """All depth-m set-leaf structures on the labels; m = 0 gives the single
     one-leaf structure."""
-    key = tuple(sorted(set(labels)))
-    if not key:
-        raise ValueError("label set must be nonempty")
+    key = sorted_labels(labels)
     if m < 0:
         raise ValueError("m must be nonnegative")
     return _structures(key, m, _set_leaf)
@@ -245,34 +226,7 @@ def enumerate_catalan_structures(labels, m: int):
 
 def enumerate_nested_lists(labels, m: int):
     """All depth-m singleton-leaf structures on the labels (m >= 1)."""
-    key = tuple(sorted(set(labels)))
-    if not key:
-        raise ValueError("label set must be nonempty")
+    key = sorted_labels(labels)
     if m < 1:
         raise ValueError("m must be positive")
     return _structures(key, m - 1, _permutations)
-
-
-def render_structure(s) -> str:
-    """Parenthesis notation: lists in parens, set leaves in braces, leaf
-    labels ascending. Labels above 9 are comma-separated to stay readable."""
-    sep = "," if any(v > 9 for v in structure_labels(s)) else ""
-
-    def text(node):
-        if isinstance(node, tuple):
-            return "(" + sep.join(text(child) for child in node) + ")"
-        if isinstance(node, frozenset):
-            return "{" + sep.join(str(v) for v in sorted(node)) + "}"
-        return str(node)
-
-    return text(s)
-
-
-def render_height_table(h: HeightFunction) -> str:
-    """Two-row table of a height function, labels ordered by (height, label)."""
-    items = sorted(h.items, key=lambda pair: (pair[1], pair[0]))
-    cells = [(str(v), str(height)) for v, height in items]
-    widths = [max(len(a), len(b)) for a, b in cells]
-    top = " ".join(a.rjust(w) for (a, _), w in zip(cells, widths))
-    bottom = " ".join(b.rjust(w) for (_, b), w in zip(cells, widths))
-    return f"v    | {top}\nh(v) | {bottom}"

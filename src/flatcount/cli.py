@@ -24,31 +24,32 @@ from typing import Callable
 from .dsl import ParseError, evaluate_text
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .species import CompositionConstantTerm
-from .triangles import DEFAULT_ORDER, Triangle, catalan_word, lah_power, total_flats
+from .triangles import DEFAULT_ORDER, Triangle, riordan_word, total_flats
 
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
-# 1.3 s for the three intervals, n = 6 about 5 s for [-1, 1] alone.
+# 1.3 s for the three intervals, n = 6 about 4.5 s for [-1, 1] alone.
 LINEAR_N_MAX = 5
 
 
 @dataclass(frozen=True)
 class Family:
     """An arrangement family: the gains A(m) of its hyperplanes x_i - x_j = a,
-    its triangle builder, and the m values the CLI accepts and uses by default."""
+    its matrix word, and the m values the CLI accepts and uses by default."""
 
     interval: Callable[[int], GainInterval]
-    triangle: Callable[[int, int], Triangle]  # (m, size) -> its matrix word T(m)
+    q_shift: int  # q - m of its word T(m) = riordan_word(m, q, size)
     m_min: int | None  # the smallest valid m; None: the family takes no -m
     table_m: tuple[int, ...]  # the m values of `table` without -m
     verify_m_max: int | None  # the default `verify --m-max`; None: not verified
 
 
-# Family(interval, triangle, m_min, table_m, verify_m_max); the triangles
-# are (S c)^m S for braid and Catalan and (S c)^m for Shi, by recurrence.
+# Family(interval, q_shift, m_min, table_m, verify_m_max); the words are
+# (S c)^m S for braid and Catalan (q = m + 1) and (S c)^m for Shi (q = m).
+# Braid's m is always 0, so its interval is GainInterval.catalan(0).
 FAMILIES = {
-    "braid": Family(lambda m: GainInterval.braid(), catalan_word, None, (0,), None),
-    "catalan": Family(GainInterval.catalan, catalan_word, 0, (1, 2, 3, 4), 2),
-    "shi": Family(GainInterval.shi, lah_power, 1, (1, 2, 3, 4, 5), 3),
+    "braid": Family(GainInterval.catalan, 1, None, (0,), None),
+    "catalan": Family(GainInterval.catalan, 1, 0, (1, 2, 3, 4), 2),
+    "shi": Family(GainInterval.shi, 0, 1, (1, 2, 3, 4, 5), 3),
 }
 
 
@@ -63,7 +64,7 @@ class TableSpec:
 
 def formula_triangle(family: str, m: int, size: int) -> Triangle:
     """The family's triangle: the one place the CLI builds counts by formula."""
-    return FAMILIES[family].triangle(m, size)
+    return riordan_word(m, m + FAMILIES[family].q_shift, size)
 
 
 def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help="ambient dimension; n = 7 takes 12 s at catalan -m 2 and 40 s at shi -m 3, "
-        "n = 6 with --method linear 7 s at catalan -m 1",
+        "n = 6 with --method linear 4.5 s at catalan -m 1",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
+from itertools import repeat
 
 from .enumeration import set_partitions
 
@@ -55,14 +55,6 @@ class GainInterval:
         if m < 1:
             raise ValueError("m must be positive")
         return cls(1 - m, m)
-
-    @classmethod
-    def braid(cls) -> "GainInterval":
-        return cls(0, 0)
-
-    @property
-    def span(self) -> int:
-        return max(abs(self.lo), abs(self.hi))
 
     def __str__(self):
         return f"[{self.lo},{self.hi}]"
@@ -102,39 +94,16 @@ class HeightFunction:
     def labels(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.items)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.items)
 
+def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
+    """Whether the gain graph induced by the heights on the block is connected.
 
-@dataclass(frozen=True)
-class ConnectedPartition:
-    """A flat: blocks with height functions partitioning the label set.
-
-    The dimension of the flat equals the number of blocks.
+    Labels u < v are adjacent exactly when height(v) - height(u) lies in the
+    interval; for asymmetric intervals (the Shi case) the label order matters.
     """
-
-    blocks: tuple[HeightFunction, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for block in self.blocks:
-            for v in block.labels:
-                if v in seen:
-                    raise ValueError(f"label {v} appears in two blocks")
-                seen.add(v)
-        if list(self.blocks) != sorted(self.blocks, key=lambda b: b.items):
-            raise ValueError("blocks must be sorted by label")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.blocks)
-
-
-def _tuple_connected(labels, heights, interval) -> bool:
-    # Breadth-first reachability with edges u < v iff h(v) - h(u) in the interval.
-    r = len(labels)
-    if r == 1:
-        return True
+    # Breadth-first reachability over the positions in label order.
+    heights = [h for _, h in block.items]
+    r = len(heights)
     lo, hi = interval.lo, interval.hi
     seen = [False] * r
     seen[0] = True
@@ -151,15 +120,6 @@ def _tuple_connected(labels, heights, interval) -> bool:
                     count += 1
                     queue.append(j)
     return count == r
-
-
-def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
-    """Whether the gain graph induced by the heights on the block is connected.
-
-    Labels u < v are adjacent exactly when height(v) - height(u) lies in the
-    interval; for asymmetric intervals (the Shi case) the label order matters.
-    """
-    return _tuple_connected(block.labels, tuple(h for _, h in block.items), interval)
 
 
 @lru_cache(maxsize=None)
@@ -207,13 +167,21 @@ def _labelled_blocks(members: tuple[int, ...], interval: GainInterval):
     )
 
 
+def sorted_labels(labels) -> tuple[int, ...]:
+    """The labels of a block or structure, ascending; ValueError when there
+    are none or one repeats."""
+    key = tuple(sorted(labels))
+    if not key:
+        raise ValueError("the label set must be nonempty")
+    if len(set(key)) != len(key):
+        raise ValueError(f"labels must be distinct, got {key}")
+    return key
+
+
 def enumerate_connected_blocks(members, interval: GainInterval) -> tuple[HeightFunction, ...]:
     """All normalized height functions on the given labels whose induced gain
     graph is connected, in lexicographic order of the height vectors."""
-    key = tuple(sorted(set(members)))
-    if not key:
-        raise ValueError("a block must be nonempty")
-    return _labelled_blocks(key, interval)
+    return _labelled_blocks(sorted_labels(members), interval)
 
 
 def _checked_labels(n: int, labels):
@@ -222,8 +190,8 @@ def _checked_labels(n: int, labels):
         raise ValueError("n must be positive")
     if labels is None:
         return range(1, n + 1)
-    labels = tuple(labels)
-    if len(labels) != n or len(set(labels)) != n:
+    labels = sorted_labels(labels)
+    if len(labels) != n:
         raise ValueError(f"labels must be {n} distinct values")
     return labels
 
@@ -244,18 +212,6 @@ def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[in
             ways *= len(_connected_blocks(len(block), interval))
         counts[len(part)] += ways
     return dict(sorted(counts.items()))
-
-
-def connected_partitions(n: int, interval: GainInterval, labels=None) -> list[ConnectedPartition]:
-    """The full list of flats, sorted canonically (by block label/height data)."""
-    flats = []
-    for part in set_partitions(_checked_labels(n, labels)):
-        choices = [enumerate_connected_blocks(block, interval) for block in part]
-        for combo in product(*choices):
-            blocks = tuple(sorted(combo, key=lambda b: b.items))
-            flats.append(ConnectedPartition(blocks))
-    flats.sort(key=lambda f: tuple(b.items for b in f.blocks))
-    return flats
 
 
 def _pivot(row, ncoords):

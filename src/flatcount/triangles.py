@@ -19,14 +19,21 @@ arrangement with parameter m.
 
 Those two functions multiply the words out and serve as the reference.
 The command line builds each word from a recurrence of its entries instead,
-O(size^2) for every m. lah_power builds (S c)^m with the Stirling-style
-recurrence P(n, k) = P(n-1, k-1) + m(n+k-1) P(n-1, k). catalan_word builds
-(S c)^m S, the exponential Riordan array [1, F] with u = e^x - 1 and
-F = u / (1 - m u). Since F' = (1 + m F)(1 + (m+1) F), its production matrix
-is tridiagonal (Deutsch, Ferrari and Rinaldi, "Production matrices and
-Riordan arrays", Ann. Comb. 13 (2009)), which gives the three-term recurrence
+O(size^2) for every m. Both words are exponential Riordan arrays [1, F]
+whose F' is (1 + p F)(1 + q F) for two integers p and q. With u = e^x - 1:
 
-    T(n, k) = T(n-1, k-1) + (2m+1) k T(n-1, k) + m(m+1) k(k+1) T(n-1, k+1).
+    (S c)^m    F = x / (1 - m x)   F' = (1 + m F)^2              (p, q) = (m, m)
+    (S c)^m S  F = u / (1 - m u)   F' = (1 + m F)(1 + (m+1) F)   (p, q) = (m, m+1)
+
+For Shi, 1 + m F = 1 / (1 - m x) and F' = 1 / (1 - m x)^2. For Catalan,
+F' = (1 + u) / (1 - m u)^2, where 1 + m F = 1 / (1 - m u) and
+1 + (m+1) F = (1 + u) / (1 - m u); braid is Catalan at m = 0. With F' a
+quadratic in F, the production matrix of [1, F] is tridiagonal (Deutsch,
+Ferrari and Rinaldi, "Production matrices and Riordan arrays", Ann. Comb.
+13 (2009)), and riordan_word(p, q) builds the array by its three-term
+recurrence
+
+    T(n, k) = T(n-1, k-1) + (p+q) k T(n-1, k) + pq k(k+1) T(n-1, k+1).
 """
 
 from __future__ import annotations
@@ -110,28 +117,18 @@ def stirling1_matrix(size: int = DEFAULT_ORDER) -> Triangle:
     return _stirling_recurrence(size, lambda n, k: n - 1)
 
 
-def lah_power(m: int, size: int = DEFAULT_ORDER) -> Triangle:
-    """Entry (k, n) = m^(n-k) * Lah(n, k), the m-th power of lah_matrix.
-
-    Lah(n, k) follows the Stirling-style recurrence with weight n + k - 1,
-    and the factor m^(n-k) scales that weight by m; m = 0 gives the identity.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return _stirling_recurrence(size, lambda n, k: m * (n + k - 1))
-
-
-def catalan_word(m: int, size: int = DEFAULT_ORDER) -> Triangle:
-    """Entry (k, n) = T(n, k), the word (S c)^m S of catalan_triangle, built
+def riordan_word(p: int, q: int, size: int = DEFAULT_ORDER) -> Triangle:
+    """Entry (k, n) = T(n, k) of the array with F' = (1 + p F)(1 + q F), built
     by the three-term recurrence above from T(0, 0) = 1 and T(n, 0) = 0 for
-    n > 0. O(size^2) for every m; m = 0 gives the Stirling-2 matrix.
+    n > 0: (S c)^m for (p, q) = (m, m), (S c)^m S for (m, m + 1). O(size^2)
+    for every p and q; (0, 0) gives the identity, (0, 1) the Stirling-2 matrix.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
+    if p < 0 or q < 0:
+        raise ValueError("p and q must be nonnegative")
     if size < 1:
         raise ValueError("size must be at least 1")
-    a = [(2 * m + 1) * k for k in range(size + 1)]
-    b = [m * (m + 1) * k * (k + 1) for k in range(size + 1)]
+    a = [(p + q) * k for k in range(size + 1)]
+    b = [p * q * k * (k + 1) for k in range(size + 1)]
     column = [1, 0]  # T(n, k) for k = 0..n+1, here n = 0
     columns = []
     for n in range(1, size + 1):

@@ -10,11 +10,8 @@ from flatcount.bijections import (
     enumerate_nested_lists,
     height_to_catalan_structure,
     height_to_shi_structure,
-    render_height_table,
-    render_structure,
     shi_structure_to_height,
     structure_depth,
-    structure_labels,
 )
 from flatcount.enumeration import set_partitions
 from flatcount.oracle import GainInterval, HeightFunction, enumerate_connected_blocks, enumerate_flats_gain
@@ -40,8 +37,6 @@ def test_structure_helpers():
     assert structure_depth(CATALAN_EXAMPLE) == 2
     assert structure_depth(SHI_EXAMPLE) == 3
     assert structure_depth(frozenset({1, 2})) == 0
-    assert structure_labels(SHI_EXAMPLE) == tuple(range(1, 10))
-    assert structure_labels(CATALAN_EXAMPLE) == tuple(range(1, 10))
 
 
 def test_enumerate_nested_lists_counts():
@@ -50,23 +45,27 @@ def test_enumerate_nested_lists_counts():
     assert len(enumerate_nested_lists(range(1, 5), 3)) == 648
     with pytest.raises(ValueError):
         enumerate_nested_lists([1, 2], 0)
-    with pytest.raises(ValueError):
-        enumerate_nested_lists([], 1)
+    for labels in ([], [1, 1, 2]):  # a repeated label is not dropped
+        with pytest.raises(ValueError):
+            enumerate_nested_lists(labels, 1)
 
 
 def test_enumerate_catalan_structures_counts():
     assert len(enumerate_catalan_structures([1, 2, 3], 1)) == 13
     assert len(enumerate_catalan_structures([1, 2], 2)) == 5
     assert enumerate_catalan_structures([1, 2], 0) == (frozenset({1, 2}),)
+    for labels in ([], [1, 1, 2]):  # a repeated label is not dropped
+        with pytest.raises(ValueError):
+            enumerate_catalan_structures(labels, 1)
 
 
 def test_catalan_structure_to_height_example():
     h = catalan_structure_to_height(CATALAN_EXAMPLE)
-    assert h.as_dict() == CATALAN_HEIGHTS
+    assert dict(h.items) == CATALAN_HEIGHTS
 
 
 def test_catalan_single_leaf():
-    assert catalan_structure_to_height((frozenset({1, 2}),)).as_dict() == {1: 0, 2: 0}
+    assert catalan_structure_to_height((frozenset({1, 2}),)).items == ((1, 0), (2, 0))
 
 
 def test_height_to_catalan_structure_example():
@@ -96,11 +95,11 @@ def test_catalan_m2_image_has_37_structures():
 
 def test_shi_structure_to_height_example():
     h = shi_structure_to_height(SHI_EXAMPLE)
-    assert h.as_dict() == SHI_HEIGHTS
+    assert dict(h.items) == SHI_HEIGHTS
 
 
 def test_shi_single_leaf():
-    assert shi_structure_to_height(((1,),)).as_dict() == {1: 0}
+    assert shi_structure_to_height(((1,),)).items == ((1, 0),)
 
 
 def test_shi_two_labels():
@@ -318,15 +317,3 @@ def test_structures_over_partitions_reproduce_flat_counts(family, m):
                 ways *= len(enumerate_structs(block, m))
             counts[len(part)] = counts.get(len(part), 0) + ways
         assert counts == enumerate_flats_gain(n, interval)
-
-
-def test_render_structure():
-    assert render_structure(SHI_EXAMPLE) == "(((49)(5))((3)(71)(6))((82)))"
-    assert render_structure(CATALAN_EXAMPLE) == "(({57}{3})({149}{26}{8}))"
-    assert render_structure(frozenset({3, 1, 2})) == "{123}"
-    assert render_structure((10, 2)) == "(10,2)"
-
-
-def test_render_height_table():
-    table = render_height_table(hf({1: 0, 2: 1, 10: 0}))
-    assert table.splitlines() == ["v    | 1 10 2", "h(v) | 0  0 1"]

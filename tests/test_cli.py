@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import math
 import os
@@ -437,6 +439,60 @@ def test_benchmark_finds_its_targets():
     assert json.loads(proc.stdout) == {"missing": [], "gone": []}
 
 
+def _bench_tree(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / name
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _bench_literal(tree, name):
+    """The literal value of a bench file's module-level `name = ...`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == name for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no {name} in the bench file")
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def _resolves(module_name, attr):
+    obj = importlib.import_module(module_name)
+    for part in attr.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_benchmark_names_resolve():
+    # bench/checks.py calls these names in its jobs, so a name dropped from
+    # flatcount fails every job that reaches it; bench/tracer.py skips a
+    # missing target silently, so a dropped one only loses its span.
+    checks, tracer = _bench_tree("checks.py"), _bench_tree("tracer.py")
+    attributes = {_dotted(node) for node in ast.walk(checks) if isinstance(node, ast.Attribute)}
+    names = [("flatcount", path[3:]) for path in attributes if path.startswith("fc.")]
+    assert len(names) > 10
+    names += [("flatcount", name) for row in _bench_literal(checks, "_BIJECTIONS").values()
+              for name in row]
+    names += [
+        (node.module, alias.name)
+        for node in ast.walk(checks)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("flatcount")
+        for alias in node.names
+    ]
+    assert ("flatcount.cli", "render_table") in names
+    names += [(module, attr) for module, attr, _ in _bench_literal(tracer, "TARGETS")]
+    names.append(_bench_literal(tracer, "PARTITIONS")[:2])
+    assert [f"{m}.{a}" for m, a in names if not _resolves(m, a)] == []
+
+
 def test_families_table():
     assert list(cli.FAMILIES) == ["braid", "catalan", "shi"]
     braid, catalan, shi = cli.FAMILIES.values()
@@ -446,9 +502,10 @@ def test_families_table():
     assert braid.interval(0) == GainInterval(0, 0)
     assert catalan.interval(2) == GainInterval(-2, 2)
     assert shi.interval(2) == GainInterval(-1, 2)
-    assert braid.triangle(0, 6) == catalan_triangle(0, 6)
-    assert catalan.triangle(2, 6) == catalan_triangle(2, 6)
-    assert shi.triangle(2, 6) == shi_triangle(2, 6)
+    assert (braid.q_shift, catalan.q_shift, shi.q_shift) == (1, 1, 0)
+    assert cli.formula_triangle("braid", 0, 6) == catalan_triangle(0, 6)
+    assert cli.formula_triangle("catalan", 2, 6) == catalan_triangle(2, 6)
+    assert cli.formula_triangle("shi", 2, 6) == shi_triangle(2, 6)
 
 
 @pytest.mark.parametrize("family", list(cli.FAMILIES))

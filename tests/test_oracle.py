@@ -3,10 +3,8 @@ from itertools import product
 import pytest
 
 from flatcount.oracle import (
-    ConnectedPartition,
     GainInterval,
     HeightFunction,
-    connected_partitions,
     enumerate_connected_blocks,
     enumerate_flats_gain,
     enumerate_flats_linear,
@@ -14,7 +12,7 @@ from flatcount.oracle import (
     _add_row,
     _pivot,
 )
-from flatcount.triangles import catalan_triangle, catalan_word, lah_power, shi_triangle
+from flatcount.triangles import catalan_triangle, riordan_word
 from reference_counts import TRIANGLES_5
 
 
@@ -27,8 +25,7 @@ def test_interval_validation():
         GainInterval(2, 1)
     assert GainInterval.catalan(2) == GainInterval(-2, 2)
     assert GainInterval.shi(3) == GainInterval(-2, 3)
-    assert GainInterval.braid() == GainInterval(0, 0)
-    assert GainInterval(-1, 2).span == 2
+    assert GainInterval.catalan(0) == GainInterval(0, 0)
     with pytest.raises(ValueError):
         GainInterval.shi(0)
 
@@ -85,7 +82,7 @@ def test_enumerate_connected_blocks_sorted_and_cached():
 def _scanned_blocks(labels, interval):
     """Height vectors of the connected blocks on the labels, found by scanning
     every normalized vector up to the spanning-tree bound (r - 1) * span."""
-    bound = (len(labels) - 1) * interval.span
+    bound = (len(labels) - 1) * max(abs(interval.lo), abs(interval.hi))
     return [
         heights
         for heights in product(range(bound + 1), repeat=len(labels))
@@ -141,9 +138,10 @@ def test_flats_gain_matches_triangles():
 
 def test_flats_gain_at_n7():
     # Size 7 is one induction step past every other oracle test.
-    for interval, word in ((GainInterval(-1, 1), catalan_word), (GainInterval(0, 1), lah_power)):
+    # Catalan m = 1 is the word with (p, q) = (1, 2), Shi m = 1 the one with (1, 1).
+    for interval, q in ((GainInterval(-1, 1), 2), (GainInterval(0, 1), 1)):
         counts = enumerate_flats_gain(7, interval)
-        assert tuple(counts.get(k, 0) for k in range(1, 8)) == word(1, 7).column(7)
+        assert tuple(counts.get(k, 0) for k in range(1, 8)) == riordan_word(1, q, 7).column(7)
 
 
 def test_top_flat_unique():
@@ -168,16 +166,15 @@ def test_symmetric_relabeling_invariance():
 
 def test_labels_must_be_n_distinct_values():
     interval = GainInterval(-1, 1)
-    for labels in ([1, 2], [1, 1, 2], [1, 2, 3, 4]):
+    for labels in ([1, 2], [1, 1, 2], [1, 2, 3, 4], []):
         with pytest.raises(ValueError):
             enumerate_flats_gain(3, interval, labels=labels)
-        with pytest.raises(ValueError):
-            connected_partitions(3, interval, labels=labels)
     with pytest.raises(ValueError):
         enumerate_flats_gain(0, interval, labels=[])
-    expected = enumerate_flats_gain(3, interval)
-    assert enumerate_flats_gain(3, interval, labels=[5, 2, 9]) == expected
-    assert len(connected_partitions(3, interval, labels=(5, 2, 9))) == sum(expected.values())
+    for members in ([1, 1, 2], []):  # a repeated label is not dropped
+        with pytest.raises(ValueError):
+            enumerate_connected_blocks(members, interval)
+    assert enumerate_flats_gain(3, interval, labels=[5, 2, 9]) == enumerate_flats_gain(3, interval)
 
 
 def _levels_of(mapping):
@@ -209,7 +206,7 @@ def test_connectivity_matches_gap_criteria(n, m):
         (GainInterval(-m, m), _max_gap_criterion),
         (GainInterval(1 - m, m), _order_gap_criterion),
     ):
-        bound = (n - 1) * interval.span
+        bound = (n - 1) * max(abs(interval.lo), abs(interval.hi))
         for heights in product(range(bound + 1), repeat=n):
             if 0 not in heights:
                 continue
@@ -218,23 +215,6 @@ def test_connectivity_matches_gap_criteria(n, m):
                 interval,
                 mapping,
             )
-
-
-def test_connected_partitions_listing():
-    flats = connected_partitions(3, GainInterval(-1, 1))
-    assert len(flats) == 23
-    assert sorted(f.dimension for f in flats) == [1] * 13 + [2] * 9 + [3]
-    keys = [tuple(b.items for b in f.blocks) for f in flats]
-    assert keys == sorted(keys)
-    ambient = [f for f in flats if f.dimension == 3]
-    assert len(ambient) == 1
-    assert all(h == 0 for b in ambient[0].blocks for _, h in b.items)
-
-
-def test_connected_partition_validation():
-    a = hf({1: 0})
-    with pytest.raises(ValueError):
-        ConnectedPartition((a, a))
 
 
 def test_flats_linear_single_hyperplane():

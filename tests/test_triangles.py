@@ -12,13 +12,12 @@ from flatcount.species import (
 from flatcount.triangles import (
     Triangle,
     catalan_triangle,
-    catalan_word,
     identity_triangle,
     lah_matrix,
-    lah_power,
     lah_power_closed,
     mat_mul,
     mat_pow,
+    riordan_word,
     shi_count_closed,
     shi_triangle,
     stirling1_matrix,
@@ -131,22 +130,25 @@ def test_mat_pow_equals_closed_form():
     sc = lah_matrix(12)
     for m in range(1, 6):
         assert mat_pow(sc, m) == lah_power_closed(m, 12)
+    # The three-term recurrence with (p, q) = (m, m) builds the same power
     for m in range(6):
-        assert lah_power(m, 12) == mat_pow(sc, m)
+        assert riordan_word(m, m, 12) == shi_triangle(m, 12) == mat_pow(sc, m), m
         if m >= 1:
-            assert lah_power(m, 12) == lah_power_closed(m, 12)
+            assert riordan_word(m, m, 12) == lah_power_closed(m, 12)
 
 
 def test_catalan_triangle():
     assert catalan_triangle(1, 5).column(4) == (75, 79, 18, 1)
     assert catalan_triangle(0, 6) == stirling2_matrix(6)
     assert catalan_triangle(2, 5).entry(1, 5) == 4501
-    # The three-term recurrence against the multiplied-out word
+    # The three-term recurrence with (p, q) = (m, m + 1) against the
+    # multiplied-out word
     for m in (*range(6), 100_000_000):
-        assert catalan_word(m, 12) == catalan_triangle(m, 12), m
-    assert catalan_word(3, 1) == identity_triangle(1)
-    with pytest.raises(ValueError):
-        catalan_word(-1, 5)
+        assert riordan_word(m, m + 1, 12) == catalan_triangle(m, 12), m
+    assert riordan_word(3, 4, 1) == identity_triangle(1)
+    for p, q in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            riordan_word(p, q, 5)
 
 
 def test_shi_triangle():
