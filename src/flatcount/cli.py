@@ -29,6 +29,12 @@ from .triangles import DEFAULT_ORDER, Triangle, riordan_word, total_flats
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
 # 1.3 s for the three intervals, n = 6 about 4.5 s for [-1, 1] alone.
 LINEAR_N_MAX = 5
+# The largest `eval --order`. Every atom's sequence is built at the full
+# order before any work, so an order of 10^9 would fill memory. At 2000,
+# `eval L` takes 0.9 s, `eval "E o E+"` 21 s and `eval "E o L+^o3 o E+"`
+# 7.4 min. The bound still admits coefficients past Python's default limit
+# of 4300 digits on int/str conversion: 1800! has 5080.
+MAX_ORDER = 2000
 
 
 @dataclass(frozen=True)
@@ -167,6 +173,8 @@ def cmd_table(args, parser) -> int:
 def cmd_eval(args, parser) -> int:
     if args.order < 0:
         parser.error("order must be nonnegative")
+    if args.order > MAX_ORDER:
+        parser.error(f"order must be at most {MAX_ORDER}")
     if (args.expr is None) == (args.file is None):
         parser.error("give exactly one of EXPR or --file")
     if args.expr is not None:
@@ -286,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--order",
         type=int,
         default=DEFAULT_ORDER,
-        help=f"print a_0..a_ORDER (default {DEFAULT_ORDER}); 'E o L+^o3 o E+' takes 0.3 s "
-        "at order 100, 3 s at 200 and 19 s at 300",
+        help=f"print a_0..a_ORDER (default {DEFAULT_ORDER}, at most {MAX_ORDER}); "
+        "'E o L+^o3 o E+' takes 0.4 s at order 300, 4 s at 600, 30 s at 1000 and 7.4 min "
+        "at 2000",
     )
 
     orc = sub.add_parser("oracle", help="brute-force flat counts (small n)")

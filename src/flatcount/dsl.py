@@ -26,6 +26,12 @@ from dataclasses import dataclass
 from .species import (
     CompositionConstantTerm,
     CountSeq,
+    compose_cycles,
+    compose_k_set,
+    compose_lists,
+    compose_lists_nonempty,
+    compose_sets,
+    compose_sets_nonempty,
     seq_cycles_nonempty,
     seq_k_set,
     seq_lists,
@@ -85,14 +91,16 @@ class Iterate:
     times: int
 
 
+# Each atom's counting sequence at an order, and the atom composed onto a
+# sequence with a_0 = 0.
 _ATOM_SEQUENCES = {
-    "E": seq_sets,
-    "E+": seq_sets_nonempty,
-    "L": seq_lists,
-    "L+": seq_lists_nonempty,
-    "C": seq_cycles_nonempty,
-    "C+": seq_cycles_nonempty,
-    "X": lambda order: seq_k_set(order, 1),
+    "E": (seq_sets, compose_sets),
+    "E+": (seq_sets_nonempty, compose_sets_nonempty),
+    "L": (seq_lists, compose_lists),
+    "L+": (seq_lists_nonempty, compose_lists_nonempty),
+    "C": (seq_cycles_nonempty, compose_cycles),
+    "C+": (seq_cycles_nonempty, compose_cycles),
+    "X": (lambda order: seq_k_set(order, 1), lambda inner: inner),
 }
 
 _COMPOSE = "o∘"  # the spellings of `o`, alone and in `^o`
@@ -242,30 +250,76 @@ def render(expr) -> str:
 
 
 def evaluate(expr, order: int = DEFAULT_ORDER) -> CountSeq:
-    """Exact coefficients a_0..a_order of the expression."""
+    """Exact coefficients a_0..a_order of the expression.
+
+    Composition distributes over sum, product and composition, so the
+    expression is evaluated as expr o X from the top down, pushing the
+    inner sequence to the atoms, each of which composes onto it by an
+    O(order^2) recurrence (see flatcount.species). A composition's inner
+    operand F o G has the constant term of F, since g_0 = 0, so each
+    constant-term check runs on the pushed-down sequence.
+    """
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    return _compose_onto(expr, None, order)
+
+
+def _compose_onto(expr, inner, order) -> CountSeq:
+    """expr o inner, where inner has a_0 = 0 and None stands for X."""
     if isinstance(expr, Atom):
-        return _ATOM_SEQUENCES[expr.name](order)
+        sequence, compose = _ATOM_SEQUENCES[expr.name]
+        return sequence(order) if inner is None else compose(inner)
     if isinstance(expr, KSet):
-        return seq_k_set(order, expr.k)
+        return seq_k_set(order, expr.k) if inner is None else compose_k_set(expr.k, inner)
     if isinstance(expr, Sum):
-        return evaluate(expr.left, order) + evaluate(expr.right, order)
+        return _compose_onto(expr.left, inner, order) + _compose_onto(expr.right, inner, order)
     if isinstance(expr, Product):
-        return evaluate(expr.left, order) * evaluate(expr.right, order)
+        return _compose_onto(expr.left, inner, order) * _compose_onto(expr.right, inner, order)
     if isinstance(expr, Compose):
-        inner = evaluate(expr.right, order)
-        if inner[0] != 0:
+        right = _compose_onto(expr.right, inner, order)
+        if right[0] != 0:
             raise CompositionConstantTerm(
                 f"cannot compose: '{render(expr.right)}' has a nonzero constant term"
             )
-        return evaluate(expr.left, order).compose(inner)
+        return _compose_onto(expr.left, right, order)
     if isinstance(expr, Iterate):
-        base = evaluate(expr.base, order)
-        if base[0] != 0:
+        times = expr.times
+        repeat = times > 0 and times * _passes(expr.base, order) <= _powering_passes(times, order)
+        seq = _compose_onto(expr.base, inner if repeat else None, order)
+        if seq[0] != 0:
             raise CompositionConstantTerm(
                 f"cannot iterate: '{render(expr.base)}' has a nonzero constant term"
             )
-        return base.iterate(expr.times)
+        if repeat:
+            for _ in range(times - 1):
+                seq = _compose_onto(expr.base, seq, order)
+            return seq
+        seq = seq.iterate(times)
+        if inner is None:
+            return seq
+        return inner if times == 0 else seq.compose(inner)
     raise TypeError(f"not a species expression: {expr!r}")
+
+
+# Measured with L+ composed onto sequences of flat counts: a partial-Bell
+# table of order N costs about N / 6 + 1 passes of an atom's recurrence, and
+# binary powering builds one table per bit of the exponent, plus one to
+# compose the power onto the inner sequence. Repeating the base is cheaper
+# up to about times = N at order 30 and times = 1.3 N at order 100.
+def _powering_passes(times: int, order: int) -> int:
+    """Estimated cost of CountSeq.iterate(times) composed onto a sequence,
+    in recurrence passes."""
+    return (times.bit_length() + 1) * (order // 6 + 1)
+
+
+def _passes(expr, order: int) -> int:
+    """Estimated cost of one expr o G in recurrence passes: one per node,
+    and the cheaper route for an iterate."""
+    if isinstance(expr, Iterate):
+        return min(expr.times * _passes(expr.base, order), _powering_passes(expr.times, order))
+    if isinstance(expr, (Sum, Product, Compose)):
+        return 1 + _passes(expr.left, order) + _passes(expr.right, order)
+    return 1
 
 
 def evaluate_text(text: str, order: int = DEFAULT_ORDER) -> CountSeq:

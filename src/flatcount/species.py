@@ -3,20 +3,35 @@
 A species is represented here only through its counting sequence
 a_0, ..., a_N (the number of structures on each label-set size, truncated
 at order N). Sum and product act on sequences the way they act on
-exponential generating functions; composition F o G is computed through
-partial Bell polynomials,
+exponential generating functions. CountSeq.compose computes F o G for any
+F through partial Bell polynomials,
 
     (F o G)_n = sum_k f_k * B_{n,k}(g_1, g_2, ...),
 
-which also gives the Bell transform of a sequence as a Triangle. All values
-are exact integers.
+which also gives the Bell transform of a sequence as a Triangle. Its
+table of B_{n,k} costs O(N^3) multiplications. It is the general route and
+the reference for the faster one below.
+
+When F is one of the atoms of the expression language, F o G has a
+recurrence of O(N^2) multiplications, so each atom's sequence below has a
+compose_* function beside it (g_0 = 0 throughout):
+
+    E o G   = exp G          h_n = sum_k C(n-1, k-1) g_k h_{n-k},  h_0 = 1
+    L o G   = 1 / (1 - G)    h_n = sum_k C(n, k) g_k h_{n-k},      h_0 = 1
+    C o G   = -log(1 - G)    H' = G' (L o G),                      h_0 = 0
+    E_k o G = G^k / k!       zero when k > N
+
+E+ and L+ are E and L with h_0 = 0, and X o G = G. The expression
+evaluator (flatcount.dsl) distributes composition over sum, product and
+composition until every composition is an atom composed onto a sequence,
+and uses these. All values are exact integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, factorial
-from operator import mul
+from math import factorial
+from operator import add, mul
 
 from .triangles import DEFAULT_ORDER, Triangle
 
@@ -58,12 +73,7 @@ class CountSeq:
     def __mul__(self, other: "CountSeq") -> "CountSeq":
         # EGF product: h_n = sum_i C(n, i) f_i g_{n-i}
         _same_order(self, other)
-        return CountSeq(
-            tuple(
-                sum(comb(n, i) * self.coeffs[i] * other.coeffs[n - i] for i in range(n + 1))
-                for n in range(self.order + 1)
-            )
-        )
+        return CountSeq(tuple(_product(self.coeffs, other.coeffs)))
 
     def compose(self, inner: "CountSeq") -> "CountSeq":
         """Counting sequence of the substitution self o inner.
@@ -144,6 +154,88 @@ def seq_lists_nonempty(order: int = DEFAULT_ORDER) -> CountSeq:
 def seq_cycles_nonempty(order: int = DEFAULT_ORDER) -> CountSeq:
     """Nonempty cyclic orders: a_n = (n-1)!."""
     return CountSeq((0,) + tuple(factorial(n - 1) for n in range(1, order + 1)))
+
+
+def _inner_coeffs(inner: CountSeq):
+    if inner.coeffs[0] != 0:
+        raise CompositionConstantTerm("inner sequence of a composition must have a_0 = 0")
+    return inner.coeffs
+
+
+def _pascal_rows(count):
+    """Rows C(n, 0..n) of Pascal's triangle for n = 0..count-1."""
+    row = [1]
+    for _ in range(count):
+        yield row
+        row = [1, *map(add, row, row[1:]), 1]
+
+
+def _product(a, b):
+    """EGF product h_n = sum_i C(n, i) a_i b_{n-i}, as long as a."""
+    return [
+        sum(map(mul, map(mul, row, a[: n + 1]), reversed(b[: n + 1])))
+        for n, row in enumerate(_pascal_rows(len(a)))
+    ]
+
+
+def _unit_recurrence(g, shift):
+    """h_0 = 1 and h_n = sum_{k=1..n} C(n - shift, k - shift) g_k h_{n-k}:
+    exp G for shift 1, 1 / (1 - G) for shift 0."""
+    h = [1]
+    rows = _pascal_rows(len(g) + 1)
+    if not shift:
+        next(rows)
+    for n, row in zip(range(1, len(g)), rows):  # row n - shift
+        h.append(sum(map(mul, map(mul, row[1 - shift :], g[1 : n + 1]), reversed(h))))
+    return h
+
+
+def compose_sets(inner: CountSeq) -> CountSeq:
+    """E o inner = exp(inner), by h_n = sum_k C(n-1, k-1) g_k h_{n-k}."""
+    return CountSeq(tuple(_unit_recurrence(_inner_coeffs(inner), 1)))
+
+
+def compose_sets_nonempty(inner: CountSeq) -> CountSeq:
+    """E+ o inner: compose_sets with h_0 = 0."""
+    return CountSeq((0,) + tuple(_unit_recurrence(_inner_coeffs(inner), 1)[1:]))
+
+
+def compose_lists(inner: CountSeq) -> CountSeq:
+    """L o inner = 1 / (1 - inner), by h_n = sum_k C(n, k) g_k h_{n-k}."""
+    return CountSeq(tuple(_unit_recurrence(_inner_coeffs(inner), 0)))
+
+
+def compose_lists_nonempty(inner: CountSeq) -> CountSeq:
+    """L+ o inner: compose_lists with h_0 = 0."""
+    return CountSeq((0,) + tuple(_unit_recurrence(_inner_coeffs(inner), 0)[1:]))
+
+
+def compose_cycles(inner: CountSeq) -> CountSeq:
+    """C o inner = log(1 / (1 - inner)), from H' = G' (L o G) and h_0 = 0."""
+    g = _inner_coeffs(inner)
+    return CountSeq((0,) + tuple(_product(g[1:], _unit_recurrence(g[:-1], 0))))
+
+
+def compose_k_set(k: int, inner: CountSeq) -> CountSeq:
+    """E_k o inner = inner^k / k!, by binary powering of the EGF product;
+    zero at once when k exceeds the order."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    g = _inner_coeffs(inner)
+    if k > inner.order:
+        return CountSeq((0,) * len(g))
+    if k == 0:
+        return seq_k_set(inner.order, 0)
+    power, result, times = g, None, k
+    while True:
+        if times & 1:
+            result = power if result is None else _product(result, power)
+        times >>= 1
+        if not times:
+            break
+        power = _product(power, power)
+    scale = factorial(k)
+    return CountSeq(tuple(c // scale for c in result))
 
 
 def _bell_table(order, z):

@@ -39,6 +39,7 @@ recurrence
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import factorial
 from operator import mul
 
@@ -58,6 +59,10 @@ class Triangle:
         for k0, row in enumerate(self.rows):
             if len(row) != size:
                 raise ValueError(f"row {k0 + 1} has length {len(row)}, expected {size}")
+            # Whole-row passes run in C; the entry loop only finds the first
+            # bad entry for the message.
+            if all(map(isinstance, row, repeat(int))) and min(row) >= 0 and not any(row[:k0]):
+                continue
             for n0, value in enumerate(row):
                 if not isinstance(value, int) or value < 0:
                     raise ValueError(f"entries must be nonnegative integers, got {value!r}")

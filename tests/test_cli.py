@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,6 +66,26 @@ def test_eval_from_file(tmp_path, capsys):
     assert "line 2" in err
     assert run(["eval"], capsys)[0] == 2
     assert run(["eval", "E", "--file", str(path)], capsys)[0] == 2
+
+
+def test_eval_order_bound(capsys):
+    code, out, err = run(["eval", "X", "--order", str(cli.MAX_ORDER + 1)], capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: order must be at most {cli.MAX_ORDER}\n")
+    code, out, _ = run(["eval", "X", "--order", str(cli.MAX_ORDER)], capsys)
+    assert (code, out) == (0, "0 1" + " 0" * (cli.MAX_ORDER - 1) + "\n")
+
+
+def test_eval_huge_counts_return_at_once(capsys):
+    # Binary powering for a count far past the order, and E_k with k past
+    # the order is zero without any product; the command line lifts the
+    # interpreter's limit on the digits of an int.
+    start = time.perf_counter()
+    code, out, _ = run(["eval", "L+^o100000000", "--order", "3"], capsys)
+    assert (code, out) == (0, "0 1 200000000 60000000000000000\n")
+    code, out, _ = run(["eval", f"E_{'7' * 5000} o L+^o3 o E+"], capsys)
+    assert (code, out) == (0, "0" + " 0" * 12 + "\n")
+    assert time.perf_counter() - start < 3
 
 
 def test_eval_errors_exit_3(capsys):

@@ -1,3 +1,4 @@
+import random
 import sys
 import time
 
@@ -20,6 +21,7 @@ from flatcount.dsl import (
     render,
 )
 from flatcount.species import CompositionConstantTerm, complete_bell, seq_k_set
+import reference_evaluator
 from reference_counts import BELL
 
 
@@ -234,3 +236,66 @@ def test_long_input_fails_fast():
     with pytest.raises(ParseError, match="^expression nested too deeply$"):
         parse(text)
     assert time.perf_counter() - start < 3
+
+
+_ATOM_NAMES = ("E", "E+", "L", "L+", "C", "C+", "X")
+# ^o0, small counts that repeat the base, and counts that only binary
+# powering reaches in time
+_TIMES = (0, 0, 1, 2, 3, 5, 9, 40, 100_000_000)
+
+
+def _random_expression(rng, depth):
+    """A random AST: every atom, E_k with k past the orders tested, and
+    inner operands with a nonzero constant term, so errors occur too."""
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.2:
+            return KSet(rng.randrange(14))
+        return Atom(rng.choice(_ATOM_NAMES))
+    kind = rng.choice((Sum, Product, Compose, Compose, Iterate))
+    if kind is Iterate:
+        return Iterate(_random_expression(rng, depth - 1), rng.choice(_TIMES))
+    return kind(_random_expression(rng, depth - 1), _random_expression(rng, depth - 1))
+
+
+def _outcome(evaluate_fn, expr, order):
+    try:
+        return "coefficients", evaluate_fn(expr, order).coeffs
+    except Exception as err:  # the error is the outcome compared
+        return type(err), str(err)
+
+
+def test_evaluate_matches_bell_table_reference():
+    # The pushed-down evaluator against the one that builds a Bell table per
+    # composition: equal coefficients, or the same exception and message.
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(600):
+        expr = _random_expression(rng, rng.randrange(1, 5))
+        order = rng.randrange(11)
+        got = _outcome(evaluate, expr, order)
+        assert got == _outcome(reference_evaluator.evaluate, expr, order), (render(expr), order)
+        outcomes.add(got[0])
+    assert outcomes == {CompositionConstantTerm, "coefficients"}
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        Iterate(Atom("L+"), -1),  # counts no parse can produce
+        Iterate(Compose(Atom("E"), Atom("L")), -1),
+        Compose(Atom("E"), KSet(-1)),
+        Compose(Atom("Q"), Atom("E+")),
+        Sum(Atom("E"), "E+"),
+        Compose(Sum(Atom("X"), Compose(Atom("E"), Atom("E"))), Compose(Atom("L"), Atom("C"))),
+        Iterate(Atom("X"), 10**30),
+        Compose(KSet(10**30), Iterate(Sum(Atom("X"), Atom("L+")), 7)),
+    ],
+)
+@pytest.mark.parametrize("order", [0, 1, 6])
+def test_evaluate_errors_match_reference(expr, order):
+    assert _outcome(evaluate, expr, order) == _outcome(reference_evaluator.evaluate, expr, order)
+
+
+def test_evaluate_rejects_negative_order():
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        evaluate(Atom("E+"), -1)

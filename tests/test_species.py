@@ -11,6 +11,12 @@ from flatcount.species import (
     CountSeq,
     bell_transform,
     complete_bell,
+    compose_cycles,
+    compose_k_set,
+    compose_lists,
+    compose_lists_nonempty,
+    compose_sets,
+    compose_sets_nonempty,
     partial_bell,
     seq_cycles_nonempty,
     seq_k_set,
@@ -268,3 +274,38 @@ def test_truncation_consistency(g, smaller):
     smaller = min(smaller, g.order)
     f = seq_sets(g.order)
     assert f.compose(g).truncate(smaller) == f.truncate(smaller).compose(g.truncate(smaller))
+
+
+_ATOM_COMPOSES = (
+    (seq_sets, compose_sets),
+    (seq_sets_nonempty, compose_sets_nonempty),
+    (seq_lists, compose_lists),
+    (seq_lists_nonempty, compose_lists_nonempty),
+    (seq_cycles_nonempty, compose_cycles),
+)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=9), max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_atom_recurrences_match_bell_composition(tail):
+    # Each atom's O(N^2) recurrence against the general Bell-table route.
+    g = CountSeq((0,) + tuple(tail))
+    for sequence, compose in _ATOM_COMPOSES:
+        assert compose(g) == sequence(g.order).compose(g), compose.__name__
+    for k in range(g.order + 3):
+        assert compose_k_set(k, g) == seq_k_set(g.order, k).compose(g), k
+
+
+def test_atom_recurrences_reject_constant_term():
+    f = seq_lists(4)
+    for _, compose in _ATOM_COMPOSES:
+        with pytest.raises(CompositionConstantTerm):
+            compose(f)
+    with pytest.raises(CompositionConstantTerm):
+        compose_k_set(2, f)
+    with pytest.raises(ValueError, match="^k must be nonnegative$"):
+        compose_k_set(-1, seq_sets_nonempty(4))
+
+
+def test_k_set_past_the_order_is_zero():
+    assert compose_k_set(10**5000, seq_lists_nonempty(6)).coeffs == (0,) * 7
