@@ -19,12 +19,13 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterator
 
 from .dsl import ParseError, evaluate_text
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .species import CompositionConstantTerm
-from .triangles import DEFAULT_ORDER, Triangle, riordan_word, total_flats
+from .triangles import DEFAULT_ORDER, riordan_columns
 
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
 # 1.3 s for the three intervals, n = 6 about 4.5 s for [-1, 1] alone.
@@ -43,7 +44,7 @@ class Family:
     its matrix word, and the m values the CLI accepts and uses by default."""
 
     interval: Callable[[int], GainInterval]
-    q_shift: int  # q - m of its word T(m) = riordan_word(m, q, size)
+    q_shift: int  # q - m of its word T(m), whose columns are riordan_columns(m, q, size)
     m_min: int | None  # the smallest valid m; None: the family takes no -m
     table_m: tuple[int, ...]  # the m values of `table` without -m
     verify_m_max: int | None  # the default `verify --m-max`; None: not verified
@@ -68,9 +69,10 @@ class TableSpec:
     fmt: str  # tsv | csv | markdown | bfile
 
 
-def formula_triangle(family: str, m: int, size: int) -> Triangle:
-    """The family's triangle: the one place the CLI builds counts by formula."""
-    return riordan_word(m, m + FAMILIES[family].q_shift, size)
+def formula_triangle(family: str, m: int, size: int) -> Iterator[tuple[int, ...]]:
+    """The family's flat counts by dimension k = 1..n for n = 1..size, one
+    column per n, in order: the one place the CLI computes counts by formula."""
+    return riordan_columns(m, m + FAMILIES[family].q_shift, size)
 
 
 def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
@@ -104,7 +106,8 @@ def cmd_count(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
     if args.n < 1:
         parser.error("n must be positive")
-    column = formula_triangle(args.family, m, args.n).column(args.n)
+    for column in formula_triangle(args.family, m, args.n):
+        pass  # keep only the last column, n = args.n
     if args.by_dim:
         print(" ".join(str(v) for v in column))
     else:
@@ -112,26 +115,28 @@ def cmd_count(args, parser) -> int:
     return 0
 
 
+# What `table` keeps of each column it prints, by mode.
+_TABLE_CELL = {"totals": sum, "one-dimensional": itemgetter(0), "by-dimension": tuple}
+
+
 def _table_cells(spec: TableSpec) -> tuple[list[str], list[list[str]]]:
     n_max = max(spec.n_values)
+    wanted = set(spec.n_values)
+
+    def cells(m):
+        columns = enumerate(formula_triangle(spec.family, m, n_max), start=1)
+        kept = {n: _TABLE_CELL[spec.mode](column) for n, column in columns if n in wanted}
+        return [kept[n] for n in spec.n_values]
+
     if spec.mode == "by-dimension":
-        triangle = formula_triangle(spec.family, spec.m_values[0], n_max)
         header = ["n\\k"] + [str(k) for k in range(1, n_max + 1)]
-        body = []
-        for n in spec.n_values:
-            column = triangle.column(n)
-            body.append([str(n)] + [str(v) for v in column] + [""] * (n_max - n))
+        body = [
+            [str(n)] + [str(v) for v in column] + [""] * (n_max - n)
+            for n, column in zip(spec.n_values, cells(spec.m_values[0]))
+        ]
         return header, body
-    # totals: the column sums of T; one-dimensional: its row k = 1
     header = ["m"] + [str(n) for n in spec.n_values]
-    body = []
-    for m in spec.m_values:
-        triangle = formula_triangle(spec.family, m, n_max)
-        if spec.mode == "totals":
-            cells = [total_flats(triangle, n) for n in spec.n_values]
-        else:
-            cells = [triangle.entry(1, n) for n in spec.n_values]
-        body.append([str(m)] + [str(v) for v in cells])
+    body = [[str(m)] + [str(v) for v in cells(m)] for m in spec.m_values]
     return header, body
 
 
@@ -224,11 +229,9 @@ def cmd_verify(args, parser) -> int:
             plans += [(name, m) for m in range(family.m_min, m_max + 1)]
     mismatches = 0
     for family, m in plans:
-        triangle = formula_triangle(family, m, args.n_max)
         interval = FAMILIES[family].interval(m)
         family_ok = True
-        for n in range(1, args.n_max + 1):
-            expected = triangle.column(n)
+        for n, expected in enumerate(formula_triangle(family, m, args.n_max), start=1):
             got = enumerate_flats_gain(n, interval)
             for k in range(1, n + 1):
                 if expected[k - 1] != got.get(k, 0):

@@ -18,9 +18,11 @@ so entry (k, n) counts the k-dimensional flats of the n-dimensional
 arrangement with parameter m.
 
 Those two functions multiply the words out and serve as the reference.
-The command line builds each word from a recurrence of its entries instead,
-O(size^2) for every m. Both words are exponential Riordan arrays [1, F]
-whose F' is (1 + p F)(1 + q F) for two integers p and q. With u = e^x - 1:
+The command line reads each word column by column from a recurrence of its
+entries instead, O(size^2) for every m: column n of the word is the
+n-dimensional arrangement's flat counts by dimension. Both words are
+exponential Riordan arrays [1, F] whose F' is (1 + p F)(1 + q F) for two
+integers p and q. With u = e^x - 1:
 
     (S c)^m    F = x / (1 - m x)   F' = (1 + m F)^2              (p, q) = (m, m)
     (S c)^m S  F = u / (1 - m u)   F' = (1 + m F)(1 + (m+1) F)   (p, q) = (m, m+1)
@@ -30,8 +32,8 @@ F' = (1 + u) / (1 - m u)^2, where 1 + m F = 1 / (1 - m u) and
 1 + (m+1) F = (1 + u) / (1 - m u); braid is Catalan at m = 0. With F' a
 quadratic in F, the production matrix of [1, F] is tridiagonal (Deutsch,
 Ferrari and Rinaldi, "Production matrices and Riordan arrays", Ann. Comb.
-13 (2009)), and riordan_word(p, q) builds the array by its three-term
-recurrence
+13 (2009)), and riordan_columns(p, q) yields the array's columns in order,
+each from the one before by the three-term recurrence
 
     T(n, k) = T(n-1, k-1) + (p+q) k T(n-1, k) + pq k(k+1) T(n-1, k+1).
 """
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import factorial
 from operator import mul
+from typing import Iterator
 
 # Default truncation order for sequences and triangles; covers every shipped
 # reference table with headroom.
@@ -56,18 +59,13 @@ class Triangle:
 
     def __post_init__(self):
         size = len(self.rows)
-        for k0, row in enumerate(self.rows):
+        for k, row in enumerate(self.rows, start=1):
             if len(row) != size:
-                raise ValueError(f"row {k0 + 1} has length {len(row)}, expected {size}")
-            # Whole-row passes run in C; the entry loop only finds the first
-            # bad entry for the message.
-            if all(map(isinstance, row, repeat(int))) and min(row) >= 0 and not any(row[:k0]):
-                continue
-            for n0, value in enumerate(row):
-                if not isinstance(value, int) or value < 0:
-                    raise ValueError(f"entries must be nonnegative integers, got {value!r}")
-                if k0 > n0 and value != 0:
-                    raise ValueError(f"entry ({k0 + 1}, {n0 + 1}) below the diagonal must be 0")
+                raise ValueError(f"row {k} has length {len(row)}, expected {size}")
+            if not all(map(isinstance, row, repeat(int))) or min(row) < 0:
+                raise ValueError(f"row {k}: entries must be nonnegative integers")
+            if any(row[: k - 1]):
+                raise ValueError(f"row {k}: entries below the diagonal must be 0")
 
     @property
     def size(self) -> int:
@@ -122,26 +120,23 @@ def stirling1_matrix(size: int = DEFAULT_ORDER) -> Triangle:
     return _stirling_recurrence(size, lambda n, k: n - 1)
 
 
-def riordan_word(p: int, q: int, size: int = DEFAULT_ORDER) -> Triangle:
-    """Entry (k, n) = T(n, k) of the array with F' = (1 + p F)(1 + q F), built
-    by the three-term recurrence above from T(0, 0) = 1 and T(n, 0) = 0 for
-    n > 0: (S c)^m for (p, q) = (m, m), (S c)^m S for (m, m + 1). O(size^2)
-    for every p and q; (0, 0) gives the identity, (0, 1) the Stirling-2 matrix.
+def riordan_columns(p: int, q: int, size: int = DEFAULT_ORDER) -> Iterator[tuple[int, ...]]:
+    """Columns (T(n, 1), ..., T(n, n)) for n = 1..size of the array with
+    F' = (1 + p F)(1 + q F), each from the one before by the three-term
+    recurrence above, starting from T(0, 0) = 1: (S c)^m for (p, q) = (m, m),
+    (S c)^m S for (m, m + 1). O(size^2) for every p and q; (0, 0) gives the
+    identity, (0, 1) the Stirling numbers of the second kind.
     """
     if p < 0 or q < 0:
         raise ValueError("p and q must be nonnegative")
-    if size < 1:
-        raise ValueError("size must be at least 1")
     a = [(p + q) * k for k in range(size + 1)]
     b = [p * q * k * (k + 1) for k in range(size + 1)]
     column = [1, 0]  # T(n, k) for k = 0..n+1, here n = 0
-    columns = []
     for n in range(1, size + 1):
         column = [0] + [
             column[k - 1] + a[k] * column[k] + b[k] * column[k + 1] for k in range(1, n)
         ] + [1, 0]  # T(n, n) = 1
-        columns.append(column[1:-1] + [0] * (size - n))
-    return Triangle(tuple(zip(*columns)))
+        yield tuple(column[1:-1])
 
 
 def mat_mul(a: Triangle, b: Triangle) -> Triangle:

@@ -23,7 +23,6 @@ from flatcount.oracle import (
 )
 from flatcount.species import CountSeq, bell_transform, complete_bell, seq_sets
 from flatcount.triangles import (
-    Triangle,
     catalan_triangle,
     lah_matrix,
     lah_power_closed,
@@ -230,12 +229,10 @@ def test_criterion_11_verify_command(capsys, monkeypatch):
         formula_triangle = cli.formula_triangle
 
         def faulty(family, m, size):
-            triangle = formula_triangle(family, m, size)
-            if family == "shi" and m == 2:
-                rows = [list(row) for row in triangle.rows]
-                rows[1][3] += 7  # T(k=2, n=4)
-                triangle = Triangle(tuple(map(tuple, rows)))
-            return triangle
+            for n, column in enumerate(formula_triangle(family, m, size), start=1):
+                if family == "shi" and m == 2 and n == 4:
+                    column = (column[0], column[1] + 7, *column[2:])  # T(k=2, n=4)
+                yield column
 
         monkeypatch.setattr(cli, "formula_triangle", faulty)
         code = cli.main(["verify"])

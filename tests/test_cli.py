@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from flatcount import cli
 from flatcount.oracle import GainInterval
-from flatcount.triangles import Triangle, catalan_triangle, shi_count_closed, shi_triangle
+from flatcount.triangles import catalan_triangle, shi_count_closed, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
 
@@ -276,25 +277,61 @@ def test_count_and_table_match_reference_triangles(capsys, monkeypatch):
                 by_dim = stdout([*count, "--by-dim"])
                 assert by_dim == " ".join(map(str, column)) + "\n", (family, m, n)
                 assert stdout(count) == f"{sum(column)}\n"
-        # Rows as `table` asks for them: every m of a range in one command.
+        # Rows as `table` asks for them: every m of a range in one command,
+        # for n from 1 and from past the middle.
         groups = [[0]] if family == "braid" else [[m for m in references if m < 40], [40], [big]]
         for m_values in groups:
             m_args = [] if family == "braid" else ["-m", f"{m_values[0]}:{m_values[-1]}"]
-            for n in range(1, 41):
+            for n, lo in _table_ranges(40):
+                n_range = range(lo, n + 1)
                 rows = {
-                    "totals": {m: [sum(references[m].column(j)) for j in range(1, n + 1)]
+                    "totals": {m: [sum(references[m].column(j)) for j in n_range]
                                for m in m_values},
-                    "one-dimensional": {m: references[m].rows[0][:n] for m in m_values},
+                    "one-dimensional": {m: references[m].rows[0][lo - 1 : n] for m in m_values},
                 }
-                header = "\t".join(["m", *map(str, range(1, n + 1))]) + "\n"
+                header = "\t".join(["m", *map(str, n_range)]) + "\n"
                 for mode, row in rows.items():
-                    table = ["table", family, *m_args, "-n", f"1:{n}", "--mode", mode]
+                    table = ["table", family, *m_args, "-n", f"{lo}:{n}", "--mode", mode]
                     lines = ["\t".join([str(m), *map(str, row[m])]) + "\n" for m in m_values]
-                    assert stdout(table) == header + "".join(lines), (family, mode, m_values, n)
+                    assert stdout(table) == header + "".join(lines), (family, mode, m_values, lo, n)
                     if len(m_values) == 1:  # a b-file holds one sequence
                         values = row[m_values[0]]
-                        bfile = "".join(f"{j} {v}\n" for j, v in enumerate(values, start=1))
+                        bfile = "".join(f"{j} {v}\n" for j, v in zip(n_range, values))
                         assert stdout([*table, "--format", "bfile"]) == bfile
+        # Columns as `table --mode by-dimension` asks for them, one m each.
+        for m, reference in references.items():
+            m_args = [] if family == "braid" else ["-m", str(m)]
+            for n, lo in _table_ranges(40):
+                header = "\t".join(["n\\k", *map(str, range(1, n + 1))]) + "\n"
+                lines = [
+                    "\t".join([str(j), *map(str, reference.column(j)), *[""] * (n - j)]) + "\n"
+                    for j in range(lo, n + 1)
+                ]
+                table = ["table", family, *m_args, "-n", f"{lo}:{n}", "--mode", "by-dimension"]
+                assert stdout(table) == header + "".join(lines), (family, m, lo, n)
+
+
+def _table_ranges(n_max):
+    """(HI, LO) for the ranges LO:HI that the reference loop asks `table`
+    for: every HI up to n_max, from LO = 1 and from LO past the middle."""
+    return [(n, lo) for n in range(1, n_max + 1) for lo in sorted({1, n // 2 + 1})]
+
+
+def test_formula_commands_keep_only_what_they_print(capsys):
+    # `count` keeps one column and `table` one cell per column it prints;
+    # a whole triangle of these sizes takes tens of MB.
+    for argv in (
+        ["count", "catalan", "-m", "2", "-n", "600"],
+        ["table", "catalan", "-m", "1:4", "-n", "1:300"],
+    ):
+        tracemalloc.start()
+        try:
+            code, _, err = run(argv, capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert peak < 8_000_000, (argv, peak)
 
 
 def test_broken_pipe_exits_141(tmp_path):
@@ -368,12 +405,10 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
     formula_triangle = cli.formula_triangle
 
     def faulty(family, m, size):
-        triangle = formula_triangle(family, m, size)
-        if family == "catalan" and m == 1:
-            rows = [list(row) for row in triangle.rows]
-            rows[0][2] += 1  # T(k=1, n=3)
-            triangle = Triangle(tuple(map(tuple, rows)))
-        return triangle
+        for n, column in enumerate(formula_triangle(family, m, size), start=1):
+            if family == "catalan" and m == 1 and n == 3:
+                column = (column[0] + 1, *column[1:])  # T(k=1, n=3)
+            yield column
 
     monkeypatch.setattr(cli, "formula_triangle", faulty)
     code, out, _ = run(["verify", "--n-max", "3"], capsys)
@@ -524,9 +559,13 @@ def test_families_table():
     assert catalan.interval(2) == GainInterval(-2, 2)
     assert shi.interval(2) == GainInterval(-1, 2)
     assert (braid.q_shift, catalan.q_shift, shi.q_shift) == (1, 1, 0)
-    assert cli.formula_triangle("braid", 0, 6) == catalan_triangle(0, 6)
-    assert cli.formula_triangle("catalan", 2, 6) == catalan_triangle(2, 6)
-    assert cli.formula_triangle("shi", 2, 6) == shi_triangle(2, 6)
+    for family, m, reference in (
+        ("braid", 0, catalan_triangle(0, 6)),
+        ("catalan", 2, catalan_triangle(2, 6)),
+        ("shi", 2, shi_triangle(2, 6)),
+    ):
+        columns = [reference.column(n) for n in range(1, 7)]
+        assert list(cli.formula_triangle(family, m, 6)) == columns, family
 
 
 @pytest.mark.parametrize("family", list(cli.FAMILIES))

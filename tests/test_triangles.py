@@ -17,7 +17,7 @@ from flatcount.triangles import (
     lah_power_closed,
     mat_mul,
     mat_pow,
-    riordan_word,
+    riordan_columns,
     shi_count_closed,
     shi_triangle,
     stirling1_matrix,
@@ -34,9 +34,19 @@ from reference_counts import (
 )
 
 
+def _columns(triangle):
+    return [triangle.column(n) for n in range(1, triangle.size + 1)]
+
+
 def test_triangle_validation():
     with pytest.raises(ValueError):
         Triangle(((1, 2), (1, 1)))  # nonzero below the diagonal
+    with pytest.raises(ValueError):
+        Triangle(((1, 2, 3), (0, 1, 4), (0, 5, 1)))  # the same, in row 3
+    with pytest.raises(ValueError):
+        Triangle(((1, -2), (0, 1)))  # negative
+    with pytest.raises(ValueError):
+        Triangle(((1, 1.0), (0, 1)))  # not an int
     with pytest.raises(ValueError):
         Triangle(((1,), (0, 1)))  # ragged
     tri = Triangle(((1, 3), (0, 1)))
@@ -132,9 +142,10 @@ def test_mat_pow_equals_closed_form():
         assert mat_pow(sc, m) == lah_power_closed(m, 12)
     # The three-term recurrence with (p, q) = (m, m) builds the same power
     for m in range(6):
-        assert riordan_word(m, m, 12) == shi_triangle(m, 12) == mat_pow(sc, m), m
+        assert shi_triangle(m, 12) == mat_pow(sc, m), m
+        assert list(riordan_columns(m, m, 12)) == _columns(shi_triangle(m, 12)), m
         if m >= 1:
-            assert riordan_word(m, m, 12) == lah_power_closed(m, 12)
+            assert list(riordan_columns(m, m, 12)) == _columns(lah_power_closed(m, 12))
 
 
 def test_catalan_triangle():
@@ -144,11 +155,11 @@ def test_catalan_triangle():
     # The three-term recurrence with (p, q) = (m, m + 1) against the
     # multiplied-out word
     for m in (*range(6), 100_000_000):
-        assert riordan_word(m, m + 1, 12) == catalan_triangle(m, 12), m
-    assert riordan_word(3, 4, 1) == identity_triangle(1)
+        assert list(riordan_columns(m, m + 1, 12)) == _columns(catalan_triangle(m, 12)), m
+    assert list(riordan_columns(3, 4, 1)) == [(1,)]
     for p, q in ((-1, 0), (0, -1)):
         with pytest.raises(ValueError):
-            riordan_word(p, q, 5)
+            list(riordan_columns(p, q, 5))
 
 
 def test_shi_triangle():
