@@ -158,9 +158,12 @@ def height_to_catalan_structure(h: HeightFunction, m: int):
     blocks, gaps = _levels(h)
     if gaps and max(gaps) > m:
         raise NotConnected(f"gap {max(gaps)} exceeds {m}")
+    # Each leaf run is the cached depth-0 structure on its block, the object
+    # the enumerated structures hold, so a round trip allocates no leaf.
+    runs = [_structures(tuple(block), 0, _set_leaf) for block in blocks]
     if m == 0:
-        return frozenset(blocks[0])
-    return _assemble([(frozenset(block),) for block in blocks], gaps, m)
+        return runs[0][0]
+    return _assemble(runs, gaps, m)
 
 
 def height_to_shi_structure(h: HeightFunction, m: int):

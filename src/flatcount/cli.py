@@ -10,7 +10,9 @@ Subcommands:
 Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 3 expression error, 4 unexpected internal error (MemoryError included),
 141 (128 + SIGPIPE) output pipe closed by the reader.
-All numeric output is exact decimal, with no limit on the number of digits.
+All numeric output is exact decimal. `count`, `table`, `oracle` and `verify`
+print numbers of any length; `eval` refuses a coefficient of more than
+MAX_DIGITS digits (exit 3).
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator
+from math import ceil, log2
 from operator import itemgetter
-from typing import Callable, Iterator
 
 from .dsl import ParseError, evaluate_text
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
+from .record import Record
 from .species import CompositionConstantTerm
 from .triangles import DEFAULT_ORDER, riordan_columns
 
@@ -36,13 +39,21 @@ LINEAR_N_MAX = 5
 # 7.4 min. The bound still admits coefficients past Python's default limit
 # of 4300 digits on int/str conversion: 1800! has 5080.
 MAX_ORDER = 2000
+# `eval` prints no coefficient of more bits than 10^MAX_DIGITS has, so every
+# coefficient it refuses has more than MAX_DIGITS digits. CPython 3.11
+# converts an int to decimal in quadratic time, 0.17 s for 10^5 digits and
+# 1.5 s for 3 * 10^5 on a 2-core VM, and the 3,010,300 digits of
+# `eval "(X+X)^o10000000" --order 6` did not finish in a minute, although
+# evaluating them takes 0.75 s.
+MAX_DIGITS = 100_000
+_MAX_BITS = ceil(MAX_DIGITS * log2(10))
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """An arrangement family: the gains A(m) of its hyperplanes x_i - x_j = a,
     its matrix word, and the m values the CLI accepts and uses by default."""
 
+    __slots__ = ("interval", "q_shift", "m_min", "table_m", "verify_m_max")
     interval: Callable[[int], GainInterval]
     q_shift: int  # q - m of its word T(m), whose columns are riordan_columns(m, q, size)
     m_min: int | None  # the smallest valid m; None: the family takes no -m
@@ -60,8 +71,8 @@ FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class TableSpec(Record):
+    __slots__ = ("family", "m_values", "n_values", "mode", "fmt")
     family: str  # a key of FAMILIES
     m_values: tuple[int, ...]
     n_values: tuple[int, ...]
@@ -194,11 +205,16 @@ def cmd_eval(args, parser) -> int:
             parser.error(f"{args.file}: {err}")
         sources = [(line, i) for i, line in enumerate(lines, start=1) if line.strip()]
     for text, lineno in sources:
+        where = f" on line {lineno}" if lineno is not None else ""
         try:
             seq = evaluate_text(text, args.order)
         except (ParseError, CompositionConstantTerm) as err:
-            where = f" on line {lineno}" if lineno is not None else ""
             print(f"error{where}: {err}", file=sys.stderr)
+            return 3
+        # Sized from the bits, before any decimal conversion starts.
+        too_long = next((n for n, a in enumerate(seq.coeffs) if a.bit_length() > _MAX_BITS), None)
+        if too_long is not None:
+            print(f"error{where}: a_{too_long} has more than {MAX_DIGITS} digits", file=sys.stderr)
             return 3
         print(" ".join(str(a) for a in seq.coeffs))
     return 0

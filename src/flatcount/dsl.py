@@ -21,8 +21,8 @@ most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
+from .record import Record
 from .species import (
     CompositionConstantTerm,
     CountSeq,
@@ -57,36 +57,36 @@ class ParseError(Exception):
         self.position = position
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
+    __slots__ = ("name",)
     name: str  # one of E, E+, L, L+, C, C+, X
 
 
-@dataclass(frozen=True)
-class KSet:
+class KSet(Record):
+    __slots__ = ("k",)
     k: int  # the species E_k
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(Record):
+    __slots__ = ("left", "right")
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(Record):
+    __slots__ = ("left", "right")
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Compose:
+class Compose(Record):
+    __slots__ = ("left", "right")
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Iterate:
+class Iterate(Record):
+    __slots__ = ("base", "times")
     base: object
     times: int
 

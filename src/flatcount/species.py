@@ -29,10 +29,10 @@ and uses these. All values are exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 from operator import add, mul
 
+from .record import Record
 from .triangles import DEFAULT_ORDER, Triangle
 
 
@@ -40,10 +40,10 @@ class CompositionConstantTerm(ValueError):
     """Composition inner operand has a nonzero constant term."""
 
 
-@dataclass(frozen=True)
-class CountSeq:
+class CountSeq(Record):
     """Exact counting sequence a_0..a_N of a species, truncated at order N."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __post_init__(self):

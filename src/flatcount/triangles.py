@@ -40,21 +40,22 @@ each from the one before by the three-term recurrence
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import repeat
 from math import factorial
 from operator import mul
-from typing import Iterator
+
+from .record import Record
 
 # Default truncation order for sequences and triangles; covers every shipped
 # reference table with headroom.
 DEFAULT_ORDER = 12
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Upper-triangular matrix of counts T(k, n), 1 <= k, n <= size."""
 
+    __slots__ = ("rows",)
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):

@@ -146,6 +146,21 @@ def test_catalan_round_trip_and_image(m):
             assert catalan_structure_to_height(s) == block
 
 
+def _leaves(s, depth):
+    """The leaf sets of a depth-`depth` Catalan structure, left to right."""
+    return [s] if depth == 0 else [leaf for child in s for leaf in _leaves(child, depth - 1)]
+
+
+@pytest.mark.parametrize("m", range(0, 4))
+def test_catalan_round_trip_shares_the_enumerated_leaves(m):
+    # The inverse takes each leaf from the enumeration's cache instead of
+    # building a new frozenset, so the leaves it returns are those objects.
+    for s in enumerate_catalan_structures(range(1, 5), m):
+        back = height_to_catalan_structure(catalan_structure_to_height(s), m)
+        assert back == s
+        assert all(a is b for a, b in zip(_leaves(back, m), _leaves(s, m)))
+
+
 @pytest.mark.parametrize("m", range(1, 3))
 def test_shi_round_trip_and_image(m):
     interval = GainInterval(1 - m, m)

@@ -89,6 +89,22 @@ def test_eval_huge_counts_return_at_once(capsys):
     assert time.perf_counter() - start < 3
 
 
+def test_eval_refuses_coefficients_too_long_to_print():
+    # a_1 = 2^10000000 has 3,010,300 digits: evaluating it is quick, but
+    # converting it to decimal would take minutes. It is refused from its bit
+    # length, before any conversion.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "(X+X)^o10000000", "--order", "6"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: a_1 has more than {cli.MAX_DIGITS} digits\n"
+    assert time.perf_counter() - start < 10
+
+
 def test_eval_errors_exit_3(capsys):
     code, _, err = run(["eval", "E o L"], capsys)
     assert code == 3
