@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterator
 from math import ceil, log2
 from operator import itemgetter
 
-from .dsl import ParseError, evaluate_text
+from .dsl import MAX_EXPONENT_BITS, ParseError, evaluate_text
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .record import Record
 from .species import CompositionConstantTerm
@@ -247,8 +247,11 @@ def cmd_verify(args, parser) -> int:
     for family, m in plans:
         interval = FAMILIES[family].interval(m)
         family_ok = True
+        # n_max first: counting it keeps the blocks of every smaller size,
+        # so the smaller n grow no block again.
+        got_by_n = [enumerate_flats_gain(n, interval) for n in range(args.n_max, 0, -1)][::-1]
         for n, expected in enumerate(formula_triangle(family, m, args.n_max), start=1):
-            got = enumerate_flats_gain(n, interval)
+            got = got_by_n[n - 1]
             for k in range(1, n + 1):
                 if expected[k - 1] != got.get(k, 0):
                     print(
@@ -307,7 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("--format", choices=("tsv", "csv", "markdown", "bfile"), default="tsv")
 
     ev = sub.add_parser("eval", help="evaluate a species expression")
-    ev.add_argument("expr", nargs="?", default=None)
+    ev.add_argument(
+        "expr",
+        nargs="?",
+        default=None,
+        help=f"species expression; a '^o' exponent has at most {MAX_EXPONENT_BITS} bits "
+        "(a 1024-bit one takes about 1.5 s at order 12); a longer one is an expression error",
+    )
     ev.add_argument("--file", default=None, help="read expressions from a file, one per line")
     ev.add_argument(
         "--order",
@@ -325,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help="ambient dimension; n = 7 takes 12 s at catalan -m 2 and 40 s at shi -m 3, "
-        "n = 6 with --method linear 4.5 s at catalan -m 1",
+        help="ambient dimension; n = 7 takes 7.5 s at catalan -m 2 and 21 s at shi -m 3, "
+        "n = 6 with --method linear 3-4 s at catalan -m 1",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 

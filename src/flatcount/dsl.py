@@ -15,7 +15,8 @@ composition. One regular expression scans the text in one pass and the
 parser climbs the precedence table _BINARY, so parsing takes linear time.
 
 Parentheses, and operators on any path from the root to an atom, may nest at
-most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep).
+most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep), and a `^o`
+exponent has at most MAX_EXPONENT_BITS bits.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ from .triangles import DEFAULT_ORDER
 # this bound keeps both well inside Python's recursion limit.
 MAX_DEPTH = 100
 _TOO_DEEP = "expression nested too deeply"
+# The most bits of a `^o` exponent. Binary powering costs about the square
+# of the bit length: at order 12 a 1000-bit exponent takes 1.7 s and a
+# 4000-bit one 24-26 s, so an exponent of thousands of digits would run for
+# hours. Each bit still costs a partial-Bell table, O(N^3) at order N.
+MAX_EXPONENT_BITS = 1024
+# The decimal digits of 2 ** MAX_EXPONENT_BITS; no exponent within the bound
+# has more significant digits.
+_EXPONENT_DIGITS = len(str(2**MAX_EXPONENT_BITS))
 
 
 class ParseError(Exception):
@@ -151,6 +160,19 @@ def _integer(digits: str, pos: int) -> int:
         raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
 
 
+def _exponent(digits: str, pos: int) -> int:
+    """The value of a `^o` exponent, or ParseError past MAX_EXPONENT_BITS.
+
+    Every digit before the last _EXPONENT_DIGITS must be a zero, which is
+    checked digit by digit, so a long exponent fails in linear time, before
+    any conversion of many digits (quadratic in CPython 3.11) starts.
+    """
+    head, tail = digits[:-_EXPONENT_DIGITS], digits[-_EXPONENT_DIGITS:]
+    if any(map(int, head)) or (times := int(tail)).bit_length() > MAX_EXPONENT_BITS:
+        raise ParseError(f"'^o' exponent has more than {MAX_EXPONENT_BITS} bits", pos)
+    return times
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -174,7 +196,7 @@ class _Parser:
             kind, value, pos = self.advance()
             if kind != "int":
                 raise ParseError("'^o' needs an integer exponent", pos)
-            node = Iterate(node, _integer(value, pos))
+            node = Iterate(node, _exponent(value, pos))
         while (level := _LEVEL.get(self.peek()[0], -1)) >= loosest:
             self.advance()
             node = _BINARY[level][1](node, self.expr(level + 1))

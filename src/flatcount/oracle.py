@@ -16,11 +16,14 @@ the flats are provided:
 Both enumerate every flat, so their cost grows with the number of flats;
 they exist to check the matrix formulas, and the README gives measured
 times. The gain-graph route builds the connected blocks of each size from
-the cached blocks one size smaller, inserting one position adjacent to a
+the kept blocks one size smaller, inserting one position adjacent to a
 placed one, so it only visits connected height vectors, and it counts each
-partition from per-size block counts. The linear route reduces over the
-integers, which is exact because every pivot of these graphic systems is +1
-or -1. Both are practical up to about n = 7 and n = 5 respectively.
+partition from per-size block counts. The blocks of the largest size, the
+most numerous, are only counted: nothing grows from them, so they are not
+kept. Height functions share their (label, height) pairs. The linear route
+reduces over the integers, which is exact because every pivot of these
+graphic systems is +1 or -1. Both are practical up to about n = 7 and n = 5
+respectively.
 """
 
 from __future__ import annotations
@@ -60,10 +63,18 @@ class GainInterval(Record):
         return f"[{self.lo},{self.hi}]"
 
 
+# One object per (label, height) pair of ints, shared by every height
+# function that holds it. The blocks and bijection images of one label set
+# are tens of thousands of height functions but hold a few dozen distinct
+# pairs (65 for Catalan m = 3 on 5 labels, heights 0..12).
+_PAIRS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
 class HeightFunction(Record):
     """Map from a finite label set to nonnegative integers with minimum 0.
 
-    Stored as (label, height) pairs sorted by label. A height function on a
+    Stored as (label, height) pairs sorted by label; a pair of ints is taken
+    from _PAIRS, so equal pairs are one object. A height function on a
     block describes a candidate flat fragment x_u + h(u) = x_v + h(v); it is
     one flat of the arrangement restricted to the block exactly when the
     induced gain graph is connected (see is_connected_block).
@@ -75,22 +86,26 @@ class HeightFunction(Record):
     # Built once per connected block and per bijection image, often 10^5
     # times in a process: the generic Record constructor takes 0.5 us more.
     def __init__(self, items):
-        object.__setattr__(self, "items", items)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not self.items:
+        if not items:
             raise ValueError("height function needs a nonempty domain")
         labels = []
         heights = []
-        for v, h in self.items:
+        pairs = []
+        for pair in items:
+            v, h = pair
             labels.append(v)
             heights.append(h)
+            # Only pairs of two exact ints are shared: the table, keyed by
+            # equality, would give (1, False) the pair (1, 0).
+            if type(v) is int and type(h) is int:
+                pair = _PAIRS.setdefault(pair, pair)
+            pairs.append(pair)
         if labels != sorted(set(labels)):
             raise ValueError("labels must be distinct and sorted")
         # Once every height is an int, a minimum of 0 also rules out negatives.
         if not all(map(isinstance, heights, repeat(int))) or min(heights) != 0:
             raise ValueError("heights must be nonnegative integers with minimum 0")
+        object.__setattr__(self, "items", tuple(pairs))
 
     @classmethod
     def from_dict(cls, mapping) -> "HeightFunction":
@@ -128,9 +143,9 @@ def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
     return count == r
 
 
-@lru_cache(maxsize=None)
-def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...], ...]:
-    """Height vectors of the connected blocks on `size` ordered labels.
+def _grown_blocks(size: int, interval: GainInterval) -> set[tuple[int, ...]]:
+    """Height vectors of the connected blocks on `size` ordered labels, as a
+    set in no order.
 
     Adjacency depends only on the order of the labels, so the vectors serve
     every label set of this size. A block of size r > 1 is a block of size
@@ -140,10 +155,10 @@ def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...
     removing a non-cut vertex, which every connected graph has, leaves a
     connected block one size smaller. Every block reached is connected,
     because a vertex adjacent to a connected block keeps the block connected.
-    The result is normalized to minimum 0 and in lexicographic order.
+    The vectors are normalized to minimum 0.
     """
     if size == 1:
-        return ((0,),)
+        return {(0,)}
     lo, hi = interval.lo, interval.hi
     grown = set()
     for heights in _connected_blocks(size - 1, interval):
@@ -160,7 +175,33 @@ def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...
                     grown.add(tuple(h - x for h in head) + (0,) + tuple(h - x for h in tail))
                 else:
                     grown.add(head + (x,) + tail)
-    return tuple(sorted(grown))
+    return grown
+
+
+# The sorted vectors of every (size, interval) that _connected_blocks was
+# asked for, kept for the life of the process. The largest size a count
+# reaches is not among them: _block_count counts it without keeping it.
+_BLOCKS: dict[tuple[int, GainInterval], tuple[tuple[int, ...], ...]] = {}
+
+
+def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...], ...]:
+    """The vectors of _grown_blocks in lexicographic order, grown once per
+    size and interval and kept in _BLOCKS, with every smaller size."""
+    key = (size, interval)
+    blocks = _BLOCKS.get(key)
+    if blocks is None:
+        blocks = _BLOCKS[key] = tuple(sorted(_grown_blocks(size, interval)))
+    return blocks
+
+
+@lru_cache(maxsize=None)
+def _block_count(size: int, interval: GainInterval) -> int:
+    """The number of connected blocks of this size: the length of the kept
+    vectors if there are any, else of the grown set, which is neither sorted
+    nor kept. Either way the vectors of every smaller size are kept. Only
+    the count is cached, so asking again grows nothing."""
+    blocks = _BLOCKS.get((size, interval))
+    return len(blocks if blocks is not None else _grown_blocks(size, interval))
 
 
 @lru_cache(maxsize=None)
@@ -209,13 +250,20 @@ def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[in
     values) and multiplies the per-block numbers of connected height classes,
     which depend only on the block sizes; the dimension of a flat is its
     number of blocks. The ambient space appears as the all-singletons
-    partition, so the top count is always 1.
+    partition, so the top count is always 1. The blocks of sizes below n are
+    kept for later calls; those of size n are counted and dropped, so a
+    caller that needs several n saves work by asking for the largest first.
     """
+    members = _checked_labels(n, labels)
+    # Size n first: counting it keeps the vectors of every smaller size,
+    # which are then only measured. Those of size n are never kept.
+    top = _block_count(n, interval)
+    blocks_of_size = [0] + [_block_count(r, interval) for r in range(1, n)] + [top]
     counts = Counter()
-    for part in set_partitions(_checked_labels(n, labels)):
+    for part in set_partitions(members):
         ways = 1
         for block in part:
-            ways *= len(_connected_blocks(len(block), interval))
+            ways *= blocks_of_size[len(block)]
         counts[len(part)] += ways
     return dict(sorted(counts.items()))
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcount import cli
+from flatcount.dsl import MAX_EXPONENT_BITS
 from flatcount.oracle import GainInterval
 from flatcount.triangles import catalan_triangle, shi_count_closed, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
@@ -87,6 +88,31 @@ def test_eval_huge_counts_return_at_once(capsys):
     code, out, _ = run(["eval", f"E_{'7' * 5000} o L+^o3 o E+"], capsys)
     assert (code, out) == (0, "0" + " 0" * 12 + "\n")
     assert time.perf_counter() - start < 3
+
+
+def test_eval_bounds_the_iterate_exponent():
+    # A ^o exponent past dsl.MAX_EXPONENT_BITS is refused while parsing, so
+    # at once, with exit 3; one at the bound still evaluates.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", f"L+^o{2**1100 - 1}"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: '^o' exponent has more than {MAX_EXPONENT_BITS} bits (byte offset 4)\n"
+    )
+    m = 2**MAX_EXPONENT_BITS - 1
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", f"L+^o{m}", "--order", "3"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (0, f"0 1 {2 * m} {6 * m * m}\n")
 
 
 def test_eval_refuses_coefficients_too_long_to_print():
@@ -415,6 +441,23 @@ def test_verify_linear_cap(capsys):
     code, out, _ = run(["verify", "--n-max", "6", "--m-max", "0", "--linear"], capsys)
     assert code == 0
     assert "ok linear A=[-1,2] n<=5" in out
+
+
+def test_verify_asks_the_gain_oracle_for_the_largest_n_first(capsys, monkeypatch):
+    # Counting the largest n keeps the blocks of every smaller size, so no
+    # block size is grown twice.
+    calls = []
+    gain = cli.enumerate_flats_gain
+
+    def recorded(n, interval):
+        calls.append((interval, n))
+        return gain(n, interval)
+
+    monkeypatch.setattr(cli, "enumerate_flats_gain", recorded)
+    code, out, _ = run(["verify", "--n-max", "4"], capsys)
+    assert (code, out.count("ok ")) == (0, 6)
+    intervals = [GainInterval.catalan(m) for m in range(3)] + [GainInterval.shi(m) for m in (1, 2, 3)]
+    assert calls == [(interval, n) for interval in intervals for n in (4, 3, 2, 1)]
 
 
 def test_verify_reports_injected_fault(capsys, monkeypatch):

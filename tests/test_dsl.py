@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from flatcount.dsl import (
     MAX_DEPTH,
+    MAX_EXPONENT_BITS,
     Atom,
     Compose,
     Iterate,
@@ -188,6 +189,21 @@ def expressions(depth):
         | st.builds(Compose, sub, sub)
         | st.builds(Iterate, sub, st.integers(min_value=0, max_value=9))
     )
+
+
+def test_iterate_exponent_bound():
+    top = 2**MAX_EXPONENT_BITS - 1
+    assert parse(f"L+^o{top}") == Iterate(Atom("L+"), top)
+    # Leading zeros, ASCII or not, do not count against the bound.
+    assert parse(f"L+^o{'0' * 5000}{top}") == Iterate(Atom("L+"), top)
+    assert parse("L+^o" + "٠" * 500 + "٣") == Iterate(Atom("L+"), 3)
+    for text in (f"L+^o{top + 1}", f"E o L+^o{'9' * 1_000_000}", "L+^o" + "٣" * 400):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == text.index("^o") + 2
+        assert f"more than {MAX_EXPONENT_BITS} bits" in str(err.value)
 
 
 @given(expressions(6))

@@ -1,7 +1,17 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
 
+from flatcount import oracle
+from flatcount.bijections import (
+    catalan_structure_to_height,
+    enumerate_catalan_structures,
+    enumerate_nested_lists,
+    shi_structure_to_height,
+)
+from flatcount.cli import FAMILIES
 from flatcount.oracle import (
     GainInterval,
     HeightFunction,
@@ -12,7 +22,7 @@ from flatcount.oracle import (
     _add_row,
     _pivot,
 )
-from flatcount.triangles import catalan_triangle, riordan_columns
+from flatcount.triangles import catalan_triangle, riordan_columns, shi_triangle
 from reference_counts import TRIANGLES_5
 
 
@@ -45,6 +55,40 @@ def test_height_function_validation():
         HeightFunction(((1, 0.0),))  # not an int
     assert hf({2: 1, 1: 0}).labels == (1, 2)
     assert HeightFunction(((1, False),)).items == ((1, False),)  # bool is an int
+
+
+def test_height_functions_share_pairs_of_ints_only():
+    # A pair is shared only when both values are exactly int: sharing by
+    # equality would give (1, False) the pair (1, 0), and (1, 0.0) too.
+    assert HeightFunction(((1, 0), (2, 3))).items[1] is HeightFunction(((2, 3), (5, 0))).items[0]
+    assert HeightFunction(((1, False),)).items[0][1] is False
+    assert HeightFunction(((1, 0),)).items[0][1] is not False
+    with pytest.raises(ValueError):
+        HeightFunction(((1, 0.0),))
+    assert type(HeightFunction(((1, 0),)).items[0][1]) is int  # the refused pair left no trace
+
+
+def test_height_function_pickle_and_copy_round_trips():
+    for block in (hf({1: 0, 5: 2, 9: 1}), HeightFunction(((1, False),))):
+        for twin in (pickle.loads(pickle.dumps(block)), copy.deepcopy(block), copy.copy(block)):
+            assert twin == block and hash(twin) == hash(block)
+            assert twin.items == block.items
+
+
+@pytest.mark.parametrize(
+    "enumerate_structures, to_height, interval, m",
+    [
+        (enumerate_catalan_structures, catalan_structure_to_height, GainInterval.catalan(2), 2),
+        (enumerate_nested_lists, shi_structure_to_height, GainInterval.shi(2), 2),
+    ],
+)
+def test_bijection_images_share_the_blocks_pairs(enumerate_structures, to_height, interval, m):
+    labels = (4, 7, 19)
+    blocks = {b.items: b for b in enumerate_connected_blocks(labels, interval)}
+    for structure in enumerate_structures(labels, m):
+        image = to_height(structure)
+        block = blocks[image.items]
+        assert all(a is b for a, b in zip(image.items, block.items))
 
 
 def test_is_connected_block_pairs():
@@ -143,6 +187,38 @@ def test_flats_gain_at_n7():
         counts = enumerate_flats_gain(7, interval)
         *_, column = riordan_columns(1, q, 7)
         assert tuple(counts.get(k, 0) for k in range(1, 8)) == column
+
+
+def test_flats_gain_keeps_no_blocks_of_size_n(monkeypatch):
+    # An interval no other test asks for, so nothing is kept before.
+    interval = GainInterval(-1, 4)
+    counts = enumerate_flats_gain(5, interval)
+    assert (4, interval) in oracle._BLOCKS
+    assert (5, interval) not in oracle._BLOCKS
+    # The counts are kept, so asking again grows nothing.
+    monkeypatch.setattr(oracle, "_grown_blocks", None)
+    assert enumerate_flats_gain(5, interval) == counts
+    assert enumerate_flats_gain(4, interval)[4] == 1
+    monkeypatch.undo()
+    # Blocks asked for later are grown, kept and sorted as before.
+    blocks = enumerate_connected_blocks((2, 3, 5, 7, 11), interval)
+    vectors = [tuple(h for _, h in b.items) for b in blocks]
+    assert vectors == sorted(vectors) == list(oracle._BLOCKS[5, interval])
+    assert enumerate_flats_gain(5, interval)[1] == len(blocks)
+
+
+@pytest.mark.parametrize("family", [name for name, row in FAMILIES.items() if row.verify_m_max])
+def test_flats_gain_matches_verified_triangles(family):
+    # Every family and m that `verify` checks, against the matrix words
+    # multiplied out; the largest n first, as `verify` asks.
+    row = FAMILIES[family]
+    triangle = {"catalan": catalan_triangle, "shi": shi_triangle}[family]
+    for m in range(row.m_min, row.verify_m_max + 1):
+        interval = row.interval(m)
+        words = triangle(m, 6)
+        for n in range(6, 0, -1):
+            counts = enumerate_flats_gain(n, interval)
+            assert tuple(counts.get(k, 0) for k in range(1, n + 1)) == words.column(n)
 
 
 def test_top_flat_unique():
