@@ -247,8 +247,8 @@ def cmd_verify(args, parser) -> int:
     for family, m in plans:
         interval = FAMILIES[family].interval(m)
         family_ok = True
-        # n_max first: counting it keeps the blocks of every smaller size,
-        # so the smaller n grow no block again.
+        # n_max first: its block counts cover every smaller n, so the
+        # smaller n grow no block again.
         got_by_n = [enumerate_flats_gain(n, interval) for n in range(args.n_max, 0, -1)][::-1]
         for n, expected in enumerate(formula_triangle(family, m, args.n_max), start=1):
             got = got_by_n[n - 1]

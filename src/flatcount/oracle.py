@@ -15,12 +15,11 @@ the flats are provided:
 
 Both enumerate every flat, so their cost grows with the number of flats;
 they exist to check the matrix formulas, and the README gives measured
-times. The gain-graph route builds the connected blocks of each size from
-the kept blocks one size smaller, inserting one position adjacent to a
-placed one, so it only visits connected height vectors, and it counts each
-partition from per-size block counts. The blocks of the largest size, the
-most numerous, are only counted: nothing grows from them, so they are not
-kept. Height functions share their (label, height) pairs. The linear route
+times. The gain-graph route grows the connected blocks of each size from
+those one size smaller, inserting one position adjacent to a placed one, so
+it only visits connected height vectors, and it counts each partition from
+per-size block counts. It keeps those counts, not the blocks. Height
+functions share their (label, height) pairs. The linear route
 reduces over the integers, which is exact because every pivot of these
 graphic systems is +1 or -1. Both are practical up to about n = 7 and n = 5
 respectively.
@@ -143,9 +142,9 @@ def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
     return count == r
 
 
-def _grown_blocks(size: int, interval: GainInterval) -> set[tuple[int, ...]]:
-    """Height vectors of the connected blocks on `size` ordered labels, as a
-    set in no order.
+def _block_levels(size: int, interval: GainInterval):
+    """Yield the height vectors of the connected blocks on r ordered labels,
+    each size as a set in no order, for r = 1, 2, ..., size.
 
     Adjacency depends only on the order of the labels, so the vectors serve
     every label set of this size. A block of size r > 1 is a block of size
@@ -155,63 +154,46 @@ def _grown_blocks(size: int, interval: GainInterval) -> set[tuple[int, ...]]:
     removing a non-cut vertex, which every connected graph has, leaves a
     connected block one size smaller. Every block reached is connected,
     because a vertex adjacent to a connected block keeps the block connected.
-    The vectors are normalized to minimum 0.
+    The vectors are normalized to minimum 0. Only the parent size and the
+    set being grown are alive at once.
     """
-    if size == 1:
-        return {(0,)}
     lo, hi = interval.lo, interval.hi
-    grown = set()
-    for heights in _connected_blocks(size - 1, interval):
-        for j in range(size):
-            reach = set()
-            for i, h in enumerate(heights):
-                if i < j:
-                    reach.update(range(h + lo, h + hi + 1))
-                else:
-                    reach.update(range(h - hi, h - lo + 1))
-            head, tail = heights[:j], heights[j:]
-            for x in reach:
-                if x < 0:  # the new position is the lowest: renormalize
-                    grown.add(tuple(h - x for h in head) + (0,) + tuple(h - x for h in tail))
-                else:
-                    grown.add(head + (x,) + tail)
-    return grown
+    level = {(0,)}
+    yield level
+    for r in range(2, size + 1):
+        grown = set()
+        # Parents in sorted order: measured faster than the set's own order.
+        for heights in sorted(level):
+            for j in range(r):
+                reach = set()
+                for i, h in enumerate(heights):
+                    if i < j:
+                        reach.update(range(h + lo, h + hi + 1))
+                    else:
+                        reach.update(range(h - hi, h - lo + 1))
+                head, tail = heights[:j], heights[j:]
+                for x in reach:
+                    if x < 0:  # the new position is the lowest: renormalize
+                        grown.add(tuple(h - x for h in head) + (0,) + tuple(h - x for h in tail))
+                    else:
+                        grown.add(head + (x,) + tail)
+        level = grown
+        yield level
 
 
-# The sorted vectors of every (size, interval) that _connected_blocks was
-# asked for, kept for the life of the process. The largest size a count
-# reaches is not among them: _block_count counts it without keeping it.
-_BLOCKS: dict[tuple[int, GainInterval], tuple[tuple[int, ...], ...]] = {}
-
-
-def _connected_blocks(size: int, interval: GainInterval) -> tuple[tuple[int, ...], ...]:
-    """The vectors of _grown_blocks in lexicographic order, grown once per
-    size and interval and kept in _BLOCKS, with every smaller size."""
-    key = (size, interval)
-    blocks = _BLOCKS.get(key)
-    if blocks is None:
-        blocks = _BLOCKS[key] = tuple(sorted(_grown_blocks(size, interval)))
-    return blocks
-
-
-@lru_cache(maxsize=None)
-def _block_count(size: int, interval: GainInterval) -> int:
-    """The number of connected blocks of this size: the length of the kept
-    vectors if there are any, else of the grown set, which is neither sorted
-    nor kept. Either way the vectors of every smaller size are kept. Only
-    the count is cached, so asking again grows nothing."""
-    blocks = _BLOCKS.get((size, interval))
-    return len(blocks if blocks is not None else _grown_blocks(size, interval))
+# The block counts (0, c_1, ..., c_n) of each interval, for the largest n
+# asked of it so far; a smaller n reads a prefix and grows nothing.
+_COUNTS: dict[GainInterval, tuple[int, ...]] = {}
 
 
 @lru_cache(maxsize=None)
 def _labelled_blocks(members: tuple[int, ...], interval: GainInterval):
-    """The blocks of _connected_blocks on these sorted labels, built once per
-    label tuple so that repeated requests share one result."""
-    return tuple(
-        HeightFunction(tuple(zip(members, heights)))
-        for heights in _connected_blocks(len(members), interval)
-    )
+    """The connected blocks on these sorted labels, in lexicographic order of
+    their height vectors, built once per label tuple so that repeated
+    requests share one result."""
+    for level in _block_levels(len(members), interval):
+        pass
+    return tuple(HeightFunction(tuple(zip(members, heights))) for heights in sorted(level))
 
 
 def sorted_labels(labels) -> tuple[int, ...]:
@@ -250,15 +232,14 @@ def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[in
     values) and multiplies the per-block numbers of connected height classes,
     which depend only on the block sizes; the dimension of a flat is its
     number of blocks. The ambient space appears as the all-singletons
-    partition, so the top count is always 1. The blocks of sizes below n are
-    kept for later calls; those of size n are counted and dropped, so a
+    partition, so the top count is always 1. Only the block counts are
+    kept: a later call with this n or a smaller one grows no block, so a
     caller that needs several n saves work by asking for the largest first.
     """
     members = _checked_labels(n, labels)
-    # Size n first: counting it keeps the vectors of every smaller size,
-    # which are then only measured. Those of size n are never kept.
-    top = _block_count(n, interval)
-    blocks_of_size = [0] + [_block_count(r, interval) for r in range(1, n)] + [top]
+    blocks_of_size = _COUNTS.get(interval, ())
+    if len(blocks_of_size) <= n:
+        blocks_of_size = _COUNTS[interval] = (0, *map(len, _block_levels(n, interval)))
     counts = Counter()
     for part in set_partitions(members):
         ways = 1

@@ -245,17 +245,15 @@ def _bell_table(order, z):
 
     Written as B_{n,k} = sum_{j=k-1}^{n-1} C(n-1, j) z_{n-j} B_{j,k-1}, the
     weights C(n-1, j) z_{n-j} do not depend on k, so they are built once per
-    n (the binomials from the previous Pascal row) and each entry is one
-    product of a weight slice with a slice of column k-1.
+    n (the binomials from Pascal row n-1) and each entry is one product of a
+    weight slice with a slice of column k-1.
     """
     table = [[0] * (order + 1) for _ in range(order + 1)]
     table[0][0] = 1
-    pascal = [1]  # C(n-1, j) for j = 0..n-1
-    for n in range(1, order + 1):
+    for n, pascal in zip(range(1, order + 1), _pascal_rows(order)):
         weights = [c * z[n - j] for j, c in enumerate(pascal)]
         for k in range(1, n + 1):
             table[k][n] = sum(map(mul, weights[k - 1 :], table[k - 1][k - 1 : n]))
-        pascal = [1] + [a + b for a, b in zip(pascal, pascal[1:])] + [1]
     return table
 
 

@@ -192,19 +192,20 @@ def test_flats_gain_at_n7():
 def test_flats_gain_keeps_no_blocks_of_size_n(monkeypatch):
     # An interval no other test asks for, so nothing is kept before.
     interval = GainInterval(-1, 4)
-    counts = enumerate_flats_gain(5, interval)
-    assert (4, interval) in oracle._BLOCKS
-    assert (5, interval) not in oracle._BLOCKS
-    # The counts are kept, so asking again grows nothing.
-    monkeypatch.setattr(oracle, "_grown_blocks", None)
-    assert enumerate_flats_gain(5, interval) == counts
+    descending = [enumerate_flats_gain(n, interval) for n in range(5, 0, -1)][::-1]
+    # The counts of n = 5 cover every smaller n, so asking again grows nothing.
+    monkeypatch.setattr(oracle, "_block_levels", None)
+    assert [enumerate_flats_gain(n, interval) for n in range(5, 0, -1)][::-1] == descending
     assert enumerate_flats_gain(4, interval)[4] == 1
     monkeypatch.undo()
-    # Blocks asked for later are grown, kept and sorted as before.
+    # Growing afresh in ascending order gives the same counts.
+    monkeypatch.setattr(oracle, "_COUNTS", {})
+    assert [enumerate_flats_gain(n, interval) for n in range(1, 6)] == descending
+    # Blocks asked for later are grown and sorted.
     blocks = enumerate_connected_blocks((2, 3, 5, 7, 11), interval)
     vectors = [tuple(h for _, h in b.items) for b in blocks]
-    assert vectors == sorted(vectors) == list(oracle._BLOCKS[5, interval])
-    assert enumerate_flats_gain(5, interval)[1] == len(blocks)
+    assert vectors == sorted(vectors)
+    assert descending[4][1] == len(blocks)
 
 
 @pytest.mark.parametrize("family", [name for name, row in FAMILIES.items() if row.verify_m_max])
