@@ -31,7 +31,8 @@ from .species import CompositionConstantTerm
 from .triangles import DEFAULT_ORDER, riordan_columns
 
 # `verify --linear` checks the linear oracle up to this n: n = 5 takes about
-# 1.3 s for the three intervals, n = 6 about 4.5 s for [-1, 1] alone.
+# 0.1 s for the three intervals, n = 6 about 0.5-0.7 s for [-1, 1] and 2-3 s
+# for [-1, 2].
 LINEAR_N_MAX = 5
 # The largest `eval --order`. Every atom's sequence is built at the full
 # order before any work, so an order of 10^9 would fill memory. At 2000,
@@ -314,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         "expr",
         nargs="?",
         default=None,
-        help=f"species expression; a '^o' exponent has at most {MAX_EXPONENT_BITS} bits "
-        "(a 1024-bit one takes about 1.5 s at order 12); a longer one is an expression error",
+        help=f"species expression; a '^o' exponent or an 'E_' subscript has at most "
+        f"{MAX_EXPONENT_BITS} bits (a 1024-bit exponent takes about 1.5 s at order 12); "
+        "a longer one is an expression error",
     )
     ev.add_argument("--file", default=None, help="read expressions from a file, one per line")
     ev.add_argument(
@@ -334,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help="ambient dimension; n = 7 takes 7.5 s at catalan -m 2 and 21 s at shi -m 3, "
-        "n = 6 with --method linear 3-4 s at catalan -m 1",
+        help="ambient dimension; n = 7 takes 4-5 s at catalan -m 2 and 12-16 s at shi -m 3, "
+        "n = 6 with --method linear 0.5-0.7 s at catalan -m 1",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 

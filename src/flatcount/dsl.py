@@ -16,7 +16,7 @@ parser climbs the precedence table _BINARY, so parsing takes linear time.
 
 Parentheses, and operators on any path from the root to an atom, may nest at
 most MAX_DEPTH deep (a sum of MAX_DEPTH + 2 terms is too deep), and a `^o`
-exponent has at most MAX_EXPONENT_BITS bits.
+exponent or an `E_k` subscript has at most MAX_EXPONENT_BITS bits.
 """
 
 from __future__ import annotations
@@ -47,12 +47,14 @@ from .triangles import DEFAULT_ORDER
 # this bound keeps both well inside Python's recursion limit.
 MAX_DEPTH = 100
 _TOO_DEEP = "expression nested too deeply"
-# The most bits of a `^o` exponent. Binary powering costs about the square
-# of the bit length: at order 12 a 1000-bit exponent takes 1.7 s and a
-# 4000-bit one 24-26 s, so an exponent of thousands of digits would run for
-# hours. Each bit still costs a partial-Bell table, O(N^3) at order N.
+# The most bits of a `^o` exponent or an `E_k` subscript. Binary powering
+# costs about the square of the bit length: at order 12 a 1000-bit exponent
+# takes 1.7 s and a 4000-bit one 24-26 s, so an exponent of thousands of
+# digits would run for hours. Each bit still costs a partial-Bell table,
+# O(N^3) at order N. Any k past the order gives zeros, so the bound on k
+# only spares the quadratic conversion of its digits.
 MAX_EXPONENT_BITS = 1024
-# The decimal digits of 2 ** MAX_EXPONENT_BITS; no exponent within the bound
+# The decimal digits of 2 ** MAX_EXPONENT_BITS; no integer within the bound
 # has more significant digits.
 _EXPONENT_DIGITS = len(str(2**MAX_EXPONENT_BITS))
 
@@ -153,24 +155,19 @@ def _tokenize(text: str):
     return tokens
 
 
-def _integer(digits: str, pos: int) -> int:
-    try:
-        return int(digits)
-    except ValueError:  # past the interpreter's limit on int() digits, if set
-        raise ParseError(f"integer of {len(digits)} digits is too long", pos) from None
-
-
-def _exponent(digits: str, pos: int) -> int:
-    """The value of a `^o` exponent, or ParseError past MAX_EXPONENT_BITS.
+def _bounded_int(digits: str, pos: int, what: str) -> int:
+    """The value of a `^o` exponent or an `E_k` subscript, or ParseError past
+    MAX_EXPONENT_BITS.
 
     Every digit before the last _EXPONENT_DIGITS must be a zero, which is
-    checked digit by digit, so a long exponent fails in linear time, before
-    any conversion of many digits (quadratic in CPython 3.11) starts.
+    checked digit by digit, so a long integer fails in linear time, before
+    any conversion of many digits (quadratic in CPython 3.11) starts; the
+    digits converted are far below the interpreter's limit on int().
     """
     head, tail = digits[:-_EXPONENT_DIGITS], digits[-_EXPONENT_DIGITS:]
-    if any(map(int, head)) or (times := int(tail)).bit_length() > MAX_EXPONENT_BITS:
-        raise ParseError(f"'^o' exponent has more than {MAX_EXPONENT_BITS} bits", pos)
-    return times
+    if any(map(int, head)) or (value := int(tail)).bit_length() > MAX_EXPONENT_BITS:
+        raise ParseError(f"{what} has more than {MAX_EXPONENT_BITS} bits", pos)
+    return value
 
 
 class _Parser:
@@ -196,7 +193,7 @@ class _Parser:
             kind, value, pos = self.advance()
             if kind != "int":
                 raise ParseError("'^o' needs an integer exponent", pos)
-            node = Iterate(node, _exponent(value, pos))
+            node = Iterate(node, _bounded_int(value, pos, "'^o' exponent"))
         while (level := _LEVEL.get(self.peek()[0], -1)) >= loosest:
             self.advance()
             node = _BINARY[level][1](node, self.expr(level + 1))
@@ -207,7 +204,7 @@ class _Parser:
         if kind == "atom":
             return Atom(value)
         if kind == "ksubscript":
-            return KSet(_integer(value, pos))
+            return KSet(_bounded_int(value, pos, "'E_' subscript"))
         if kind == "(":
             self.depth += 1
             if self.depth > MAX_DEPTH:

@@ -21,15 +21,17 @@ it only visits connected height vectors, and it counts each partition from
 per-size block counts. It keeps those counts, not the blocks. Height
 functions share their (label, height) pairs. The linear route
 reduces over the integers, which is exact because every pivot of these
-graphic systems is +1 or -1. Both are practical up to about n = 7 and n = 5
-respectively.
+graphic systems is +1 or -1, and plans the reduction once per coefficient
+rows and coordinate pair, so each gain only shifts the constants. Both are
+practical up to about n = 7 and n = 6 respectively.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache
 from itertools import repeat
+from operator import mul
 
 from .enumeration import set_partitions
 from .record import Record
@@ -164,17 +166,27 @@ def _block_levels(size: int, interval: GainInterval):
         grown = set()
         # Parents in sorted order: measured faster than the set's own order.
         for heights in sorted(level):
-            for j in range(r):
-                reach = set()
-                for i, h in enumerate(heights):
-                    if i < j:
-                        reach.update(range(h + lo, h + hi + 1))
-                    else:
-                        reach.update(range(h - hi, h - lo + 1))
+            # reach[j], the heights adjacent to a placed position when the
+            # new one goes in at index j, is the union of [h + lo, h + hi]
+            # over the positions before j and of [h - hi, h - lo] over
+            # those from j on: one prefix and one suffix union.
+            reach = [set()]
+            for h in heights:
+                reach.append(reach[-1].union(range(h + lo, h + hi + 1)))
+            after = set()
+            for j in range(r - 1, -1, -1):
+                reach[j] |= after
+                if j:
+                    after = after.union(range(heights[j - 1] - hi, heights[j - 1] - lo + 1))
+            shifted = {}  # the parent raised by -x, once per x < 0
+            for j, xs in enumerate(reach):
                 head, tail = heights[:j], heights[j:]
-                for x in reach:
+                for x in xs:
                     if x < 0:  # the new position is the lowest: renormalize
-                        grown.add(tuple(h - x for h in head) + (0,) + tuple(h - x for h in tail))
+                        if x not in shifted:
+                            shifted[x] = tuple(h - x for h in heights)
+                        up = shifted[x]
+                        grown.add(up[:j] + (0,) + up[j:])
                     else:
                         grown.add(head + (x,) + tail)
         level = grown
@@ -249,73 +261,105 @@ def enumerate_flats_gain(n: int, interval: GainInterval, labels=None) -> dict[in
     return dict(sorted(counts.items()))
 
 
-def _pivot(row, ncoords):
-    """Column of the first nonzero coordinate of a row, or None."""
-    for col in range(ncoords):
-        if row[col]:
-            return col
-    return None
+def _meet_plan(rows, direction):
+    """How a flat whose reduced row echelon form has the coefficient rows
+    `rows` meets the hyperplanes direction . x = a, for every gain a at once.
 
-
-def _add_row(echelon, pivots, row, ncoords):
-    """Reduced row echelon form of `echelon` (with pivot columns `pivots`)
-    plus one more row, or None when the system becomes inconsistent.
-
-    The row is reduced against the echelon rows; a new pivot must be +1 or
-    -1 (a -1 pivot negates the row), and is then cleared from the rows above.
-    Anything else raises ValueError: this integer elimination is exact only
-    for totally unimodular systems, which graphic rows x_i - x_j = a form.
+    Returns (factors, sign, clears, position, rows'). Reducing the new row
+    against the echelon rows subtracts factors[k] times row k, so the
+    reduced constant is a - sum(factors[k] * c_k) for the flat's constants
+    c. The reduced coefficients then have a pivot of sign +1 or -1, and the
+    row is multiplied by it; row k of the result loses clears[k] times the
+    new row, which goes in at `position`; rows' is the result's coefficient
+    rows. A sign of 0 means the direction lies in the span of the rows, so
+    rows' is rows and each hyperplane holds the flat or misses it. A pivot
+    of any other value raises ValueError: this integer elimination is exact
+    only for totally unimodular systems, which graphic rows x_i - x_j = a
+    form. Nothing here depends on a or on the constants.
     """
-    for base, col in zip(echelon, pivots):
-        factor = row[col]
+    reduced = list(direction)
+    factors = []
+    pivots = []
+    for base in rows:
+        col = next(c for c, x in enumerate(base) if x)
+        pivots.append(col)
+        factor = reduced[col]
+        factors.append(factor)
         if factor:
-            row = [a - factor * b for a, b in zip(row, base)]
-    col = _pivot(row, ncoords)
+            reduced = [a - factor * b for a, b in zip(reduced, base)]
+    col = next((c for c, x in enumerate(reduced) if x), None)
     if col is None:
-        return echelon if row[ncoords] == 0 else None
-    if row[col] == -1:
-        row = [-x for x in row]
-    elif row[col] != 1:
-        raise ValueError(f"pivot {row[col]} in column {col} is not +1 or -1")
-    new = tuple(row)
-    reduced = [
-        tuple(a - base[col] * b for a, b in zip(base, new)) if base[col] else base
-        for base in echelon
+        return factors, 0, (), 0, rows
+    sign = reduced[col]
+    if sign == -1:
+        reduced = [-x for x in reduced]
+    elif sign != 1:
+        raise ValueError(f"pivot {sign} in column {col} is not +1 or -1")
+    new = tuple(reduced)
+    clears = [base[col] for base in rows]
+    merged = [
+        tuple(a - clear * b for a, b in zip(base, new)) if clear else base
+        for base, clear in zip(rows, clears)
     ]
-    reduced.insert(sum(1 for p in pivots if p < col), new)
-    return tuple(reduced)
+    position = sum(1 for p in pivots if p < col)
+    merged.insert(position, new)
+    return factors, sign, clears, position, tuple(merged)
+
+
+def _meet(plan, constants, gains):
+    """The constants of the flat (rows, constants) met with each hyperplane
+    direction . x = a, a in gains, for the plan of (rows, direction): a new
+    tuple when the plan has a pivot; otherwise the constants themselves
+    when the hyperplane holds the flat and None when it misses it."""
+    factors, sign, clears, position, _ = plan
+    shift = sum(map(mul, factors, constants))
+    if not sign:
+        return [constants if a == shift else None for a in gains]
+    met = []
+    for a in gains:
+        c = sign * (a - shift)
+        new = [x - clear * c for x, clear in zip(constants, clears)]
+        new.insert(position, c)
+        met.append(tuple(new))
+    return met
 
 
 def enumerate_flats_linear(n: int, interval: GainInterval) -> dict[int, int]:
     """Count flats by closing the hyperplane set under intersection.
 
-    Every flat is an intersection of hyperplanes, so repeatedly intersecting
-    known flats with single hyperplanes, starting from the ambient space,
-    reaches exactly the intersection poset. Each flat is kept in its reduced
-    row echelon form over the integers, which is exact here because every
-    pivot is +1 or -1; the canonical forms are therefore unambiguous.
+    Every flat of rank r + 1 is a flat of rank r met with one hyperplane, so
+    meeting each flat of one rank with every hyperplane that cuts it,
+    starting from the ambient space, reaches exactly the intersection poset.
+    Each flat is kept in its reduced row echelon form over the integers,
+    which is exact here because every pivot is +1 or -1; the canonical forms
+    are therefore unambiguous. The form is split into its coefficient rows
+    and its constants: how a flat meets x_i - x_j = a depends on the rows
+    and on (i, j) only (see _meet_plan), so each rows and pair is planned
+    once, and each gain a costs one pass over the constants.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    hyperplanes = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for a in range(interval.lo, interval.hi + 1):
-                row = [0] * (n + 1)
-                row[i - 1] = 1
-                row[j - 1] = -1
-                row[n] = a
-                hyperplanes.append(row)
-    ambient = ()
-    dimensions = {ambient: n}
-    queue = deque([ambient])
-    while queue:
-        base = queue.popleft()
-        pivots = [_pivot(row, n) for row in base]
-        for plane in hyperplanes:
-            candidate = _add_row(base, pivots, plane, n)
-            if candidate is None or candidate in dimensions:
-                continue
-            dimensions[candidate] = n - len(candidate)
-            queue.append(candidate)
-    return dict(sorted(Counter(dimensions.values()).items()))
+    gains = range(interval.lo, interval.hi + 1)
+    directions = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            direction = [0] * n
+            direction[i] = 1
+            direction[j] = -1
+            directions.append(direction)
+    counts = {n: 1}
+    # The flats of one rank: coefficient rows -> the set of constant tuples.
+    level = {(): {()}}
+    for rank in range(1, n):
+        grown = {}
+        for rows, constant_set in level.items():
+            for direction in directions:
+                plan = _meet_plan(rows, direction)
+                if not plan[1]:
+                    continue  # each hyperplane holds the flat or misses it
+                met = grown.setdefault(plan[-1], set())
+                for constants in constant_set:
+                    met.update(_meet(plan, constants, gains))
+        level = grown
+        counts[n - rank] = sum(map(len, level.values()))
+    return dict(sorted(counts.items()))

@@ -242,3 +242,19 @@ def test_criterion_11_verify_command(capsys, monkeypatch):
         monkeypatch.setattr(cli, "formula_triangle", formula_triangle)
 
     check(11, None, "verify command exit codes and mismatch reporting", body)
+
+
+def test_criterion_12_linear_oracle_runtime():
+    # The three intervals `verify --linear` checks, at its largest n.
+    expected = {
+        GainInterval(-1, 1): catalan_triangle(1, 5).column(5),
+        GainInterval(0, 1): shi_triangle(1, 5).column(5),
+        GainInterval(-1, 2): shi_triangle(2, 5).column(5),
+    }
+
+    def body():
+        for interval, column in expected.items():
+            counts = enumerate_flats_linear(5, interval)
+            assert tuple(counts.get(k, 0) for k in range(1, 6)) == column, interval
+
+    check(12, 0.5, "linear-algebra oracle for verify --linear's intervals, n = 5", body)

@@ -85,9 +85,31 @@ def test_eval_huge_counts_return_at_once(capsys):
     start = time.perf_counter()
     code, out, _ = run(["eval", "L+^o100000000", "--order", "3"], capsys)
     assert (code, out) == (0, "0 1 200000000 60000000000000000\n")
-    code, out, _ = run(["eval", f"E_{'7' * 5000} o L+^o3 o E+"], capsys)
+    # 300 digits is about 997 bits, inside dsl.MAX_EXPONENT_BITS.
+    code, out, _ = run(["eval", f"E_{'7' * 300} o L+^o3 o E+"], capsys)
     assert (code, out) == (0, "0" + " 0" * 12 + "\n")
     assert time.perf_counter() - start < 3
+
+
+def test_eval_bounds_the_set_subscript(tmp_path):
+    # An E_k subscript past dsl.MAX_EXPONENT_BITS is refused while parsing,
+    # in linear time: converting a million digits took 7 s. The expression
+    # comes from a file, since one argument is limited to 128 KiB on Linux.
+    path = tmp_path / "subscript.txt"
+    path.write_text(f"E o E_{'7' * 1_000_000}\n", encoding="utf-8")
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "--file", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error on line 1: 'E_' subscript has more than {MAX_EXPONENT_BITS} bits "
+        "(byte offset 4)\n"
+    )
 
 
 def test_eval_bounds_the_iterate_exponent():

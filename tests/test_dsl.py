@@ -151,7 +151,7 @@ def test_parse_errors_carry_positions():
     with pytest.raises(ParseError):
         parse("")
     # Integers past the interpreter's default limit on int() digits, where it
-    # has one; the command line lifts the limit, library callers may not.
+    # has one: the bit bound refuses them before any conversion.
     if hasattr(sys, "set_int_max_str_digits"):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(4300)
@@ -204,6 +204,19 @@ def test_iterate_exponent_bound():
         assert time.perf_counter() - start < 1
         assert err.value.position == text.index("^o") + 2
         assert f"more than {MAX_EXPONENT_BITS} bits" in str(err.value)
+
+
+def test_set_subscript_bound():
+    # E_k shares the ^o exponent's bound and its linear-time check.
+    top = 2**MAX_EXPONENT_BITS - 1
+    assert parse(f"E_{'0' * 5000}{top}") == KSet(top)
+    for text in (f"E o E_{top + 1}", f"E o E_{'9' * 1_000_000}"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert time.perf_counter() - start < 1
+        assert err.value.position == text.index("E_")
+        assert f"'E_' subscript has more than {MAX_EXPONENT_BITS} bits" in str(err.value)
 
 
 @given(expressions(6))

@@ -19,8 +19,8 @@ from flatcount.oracle import (
     enumerate_flats_gain,
     enumerate_flats_linear,
     is_connected_block,
-    _add_row,
-    _pivot,
+    _meet,
+    _meet_plan,
 )
 from flatcount.triangles import catalan_triangle, riordan_columns, shi_triangle
 from reference_counts import TRIANGLES_5
@@ -141,7 +141,8 @@ def _grown_blocks(labels, interval):
 
 
 @pytest.mark.parametrize(
-    "lo, hi", [(0, 0), (-1, 1), (-2, 2), (0, 1), (-1, 2), (-2, 3), (1, 2), (-2, -1)]
+    "lo, hi",
+    [(0, 0), (-1, 1), (-2, 2), (0, 1), (-1, 2), (-2, 3), (1, 2), (-2, -1), (0, 2), (-3, 1)],
 )
 def test_grown_blocks_match_grid_scan(lo, hi):
     interval = GainInterval(lo, hi)
@@ -305,6 +306,21 @@ def test_flats_linear_matches_gain():
             assert enumerate_flats_linear(n, interval) == enumerate_flats_gain(n, interval)
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 2), (-2, -1), (0, 2), (-3, 1)])
+def test_flats_linear_matches_gain_off_the_families(lo, hi):
+    # Intervals that are neither Catalan nor Shi, one-sided or lopsided, so
+    # that a plan which assumed a symmetric or zero-holding gain set fails.
+    interval = GainInterval(lo, hi)
+    for n in range(1, 5):
+        assert enumerate_flats_linear(n, interval) == enumerate_flats_gain(n, interval)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1), (-1, 1)])
+def test_flats_linear_at_n6(lo, hi):
+    interval = GainInterval(lo, hi)
+    assert enumerate_flats_linear(6, interval) == enumerate_flats_gain(6, interval)
+
+
 @pytest.mark.parametrize("lo, hi", [(-1, 1), (0, 1), (-1, 2)])
 def test_flats_linear_at_n5(lo, hi):
     interval = GainInterval(lo, hi)
@@ -315,18 +331,21 @@ def test_flats_linear_at_n5(lo, hi):
 
 
 def test_rref_integer_pivots():
-    def rref(rows, ncoords):  # rows added one at a time; None when inconsistent
-        echelon = ()
-        for row in rows:
-            echelon = _add_row(echelon, [_pivot(r, ncoords) for r in echelon], row, ncoords)
-            if echelon is None:
+    def rref(rows):  # rows added one at a time; None when inconsistent
+        coefficients, constants = (), ()
+        for *direction, a in rows:
+            plan = _meet_plan(coefficients, direction)
+            (constants,) = _meet(plan, constants, [a])
+            if constants is None:
                 return None
-        return echelon
+            coefficients = plan[-1]
+        return tuple(row + (c,) for row, c in zip(coefficients, constants))
 
     with pytest.raises(ValueError):
-        rref([(2, 1)], 1)  # 2 x_1 = 1 needs a rational row reduction
-    assert rref([(1, -1, 3), (-1, 1, 2)], 2) is None
-    assert rref([(0, -1, 2), (1, -1, 0)], 2) == ((1, 0, -2), (0, 1, -2))
+        rref([(2, 1)])  # 2 x_1 = 1 needs a rational row reduction
+    assert rref([(1, -1, 3), (-1, 1, 2)]) is None
+    assert rref([(1, -1, 3), (-1, 1, -3)]) == ((1, -1, 3),)  # the flat lies in the plane
+    assert rref([(0, -1, 2), (1, -1, 0)]) == ((1, 0, -2), (0, 1, -2))
 
 
 def test_flats_linear_shi_row():
