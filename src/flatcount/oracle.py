@@ -308,13 +308,10 @@ def _meet_plan(rows, direction):
 
 def _meet(plan, constants, gains):
     """The constants of the flat (rows, constants) met with each hyperplane
-    direction . x = a, a in gains, for the plan of (rows, direction): a new
-    tuple when the plan has a pivot; otherwise the constants themselves
-    when the hyperplane holds the flat and None when it misses it."""
+    direction . x = a, a in gains, for the plan of (rows, direction), which
+    has a pivot."""
     factors, sign, clears, position, _ = plan
     shift = sum(map(mul, factors, constants))
-    if not sign:
-        return [constants if a == shift else None for a in gains]
     met = []
     for a in gains:
         c = sign * (a - shift)

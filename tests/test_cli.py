@@ -93,7 +93,7 @@ def test_eval_huge_counts_return_at_once(capsys):
 
 def test_eval_bounds_the_set_subscript(tmp_path):
     # An E_k subscript past dsl.MAX_EXPONENT_BITS is refused while parsing,
-    # in linear time: converting a million digits took 7 s. The expression
+    # in linear time: converting a million digits takes seconds. The expression
     # comes from a file, since one argument is limited to 128 KiB on Linux.
     path = tmp_path / "subscript.txt"
     path.write_text(f"E o E_{'7' * 1_000_000}\n", encoding="utf-8")

@@ -335,10 +335,11 @@ def test_rref_integer_pivots():
         coefficients, constants = (), ()
         for *direction, a in rows:
             plan = _meet_plan(coefficients, direction)
-            (constants,) = _meet(plan, constants, [a])
-            if constants is None:
-                return None
-            coefficients = plan[-1]
+            factors, sign, *_, coefficients = plan
+            if sign:
+                (constants,) = _meet(plan, constants, [a])
+            elif a != sum(f * c for f, c in zip(factors, constants)):
+                return None  # the direction lies in the span, the constant does not
         return tuple(row + (c,) for row, c in zip(coefficients, constants))
 
     with pytest.raises(ValueError):
