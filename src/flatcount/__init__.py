@@ -11,8 +11,6 @@ from .species import (
     CompositionConstantTerm,
     CountSeq,
     bell_transform,
-    complete_bell,
-    partial_bell,
     seq_cycles_nonempty,
     seq_k_set,
     seq_lists,
@@ -29,7 +27,6 @@ from .triangles import (
     lah_power_closed,
     mat_mul,
     mat_pow,
-    shi_count_closed,
     shi_triangle,
     stirling1_matrix,
     stirling2_matrix,
@@ -41,7 +38,6 @@ from .oracle import (
     enumerate_connected_blocks,
     enumerate_flats_gain,
     enumerate_flats_linear,
-    is_connected_block,
 )
 from .bijections import (
     NotConnected,

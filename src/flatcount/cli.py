@@ -265,7 +265,8 @@ def cmd_verify(args, parser) -> int:
             print(f"ok {family} m={m} n<={args.n_max}")
     if args.linear:
         n_linear = min(LINEAR_N_MAX, args.n_max)
-        for interval in (GainInterval(-1, 1), GainInterval(0, 1), GainInterval(-1, 2)):
+        catalan, shi = FAMILIES["catalan"].interval, FAMILIES["shi"].interval
+        for interval in (catalan(1), shi(1), shi(2)):
             interval_ok = True
             for n in range(1, n_linear + 1):
                 from_rows = enumerate_flats_linear(n, interval)

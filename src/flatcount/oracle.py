@@ -108,14 +108,6 @@ class HeightFunction(Record):
             raise ValueError("heights must be nonnegative integers with minimum 0")
         object.__setattr__(self, "items", tuple(pairs))
 
-    @classmethod
-    def from_dict(cls, mapping) -> "HeightFunction":
-        return cls(tuple(sorted(mapping.items())))
-
-    @property
-    def labels(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.items)
-
 
 def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
     """Whether the gain graph induced by the heights on the block is connected.

@@ -60,12 +60,6 @@ class CountSeq(Record):
     def __getitem__(self, n: int) -> int:
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "CountSeq":
-        """Restriction to a lower order."""
-        if not 0 <= order <= self.order:
-            raise ValueError(f"cannot truncate order {self.order} to {order}")
-        return CountSeq(self.coeffs[: order + 1])
-
     def __add__(self, other: "CountSeq") -> "CountSeq":
         _same_order(self, other)
         return CountSeq(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -266,40 +260,12 @@ def _substitute(outer, table):
     )
 
 
-def partial_bell(n: int, k: int, z) -> int:
-    """Partial Bell polynomial B_{n,k}(z_1, ..., z_{n-k+1}).
-
-    z is indexed from z_1, so z[0] holds z_1. Read from the Bell table with
-    zeros past z_{n-k+1}: a partition of n labels into k blocks has no block
-    larger than n-k+1, so B_{n,k} does not depend on the padded values.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    if k == 0 or k > n:
-        return 1 if n == k else 0
-    if len(z) < n - k + 1:
-        raise ValueError(f"need z_1..z_{n - k + 1}, got only {len(z)} arguments")
-    padded = (0,) + tuple(z[: n - k + 1]) + (0,) * (k - 1)
-    return _bell_table(n, padded)[k][n]
-
-
-def complete_bell(n: int, z) -> int:
-    """Complete Bell polynomial: the sum of B_{n,k} over k = 1..n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 0
-    if len(z) < n:
-        raise ValueError(f"need z_1..z_{n}, got only {len(z)} arguments")
-    table = _bell_table(n, (0,) + tuple(z))
-    return sum(table[k][n] for k in range(1, n + 1))
-
-
 def bell_transform(seq: CountSeq) -> Triangle:
     """Triangle T(k, n) = B_{n,k}(a_1, a_2, ...) of a sequence with a_0 = 0.
 
     Row k is the counting sequence of k-block set partitions decorated with
-    the given structures, i.e. of the composition E_k o F.
+    the given structures, i.e. of the composition E_k o F; column n sums to
+    the complete Bell polynomial B_n(a_1, a_2, ...).
     """
     if seq.coeffs[0] != 0:
         raise CompositionConstantTerm("Bell transform needs a_0 = 0")

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from itertools import accumulate, repeat
-from math import factorial
 from operator import mul
 
 from .record import Record
@@ -208,30 +207,16 @@ def catalan_triangle(m: int, size: int = DEFAULT_ORDER) -> Triangle:
     return mat_mul(mat_pow(lah_matrix(size), m), stirling2_matrix(size))
 
 
-def _lah_power_entry(m: int, n: int, k: int, factorial) -> int:
-    """m^(n-k) * n! (n-1)! / (k! (k-1)! (n-k)!), with factorial(i) = i!."""
-    lah = (factorial(n) * factorial(n - 1)) // (
-        factorial(k) * factorial(k - 1) * factorial(n - k)
-    )
-    return m ** (n - k) * lah
-
-
-def shi_count_closed(m: int, n: int, k: int) -> int:
-    """Closed form for the k-dimensional flat count of the n-dimensional
-    m-extended Shi arrangement: m^(n-k) * n! (n-1)! / (k! (k-1)! (n-k)!)."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    return _lah_power_entry(m, n, k, factorial)
-
-
 def lah_power_closed(m: int, size: int = DEFAULT_ORDER) -> Triangle:
-    """Entry (k, n) = m^(n-k) * Lah(n, k): the closed form of the m-th Lah-matrix power."""
+    """Entry (k, n) = m^(n-k) * Lah(n, k) = m^(n-k) * n! (n-1)! / (k! (k-1)! (n-k)!):
+    the closed form of the m-th Lah-matrix power, which counts the k-dimensional
+    flats of the n-dimensional m-extended Shi arrangement."""
     if m < 1:
         raise ValueError("m must be positive")
-    factorials = list(accumulate(range(1, size + 1), mul, initial=1))  # 0!..size!
-    return _build(size, lambda k, n: _lah_power_entry(m, n, k, factorials.__getitem__))
+    f = list(accumulate(range(1, size + 1), mul, initial=1))  # 0!..size!
+    return _build(
+        size, lambda k, n: m ** (n - k) * (f[n] * f[n - 1] // (f[k] * f[k - 1] * f[n - k]))
+    )
 
 
 def total_flats(triangle: Triangle, n: int) -> int:

@@ -3,6 +3,7 @@ import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from flatcount import cli
 from flatcount.dsl import MAX_EXPONENT_BITS
 from flatcount.oracle import GainInterval
-from flatcount.triangles import catalan_triangle, shi_count_closed, shi_triangle
+from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
 
@@ -292,7 +293,7 @@ def test_huge_exponents(capsys):
     m = 100_000_000
     code, out, _ = run(["count", "shi", "-m", str(m), "-n", "3"], capsys)
     assert (code, out) == (0, "60000000600000001\n")
-    assert int(out) == sum(shi_count_closed(m, 3, k) for k in (1, 2, 3)) == 6 * m * m + 6 * m + 1
+    assert int(out) == 6 * m * m + 6 * m + 1
     code, out, _ = run(["eval", "L+^o100000000", "--order", "3"], capsys)
     assert (code, out) == (0, "0 1 200000000 60000000000000000\n")
     code, out, _ = run(["table", "shi", "-m", str(m), "-n", "1:3"], capsys)
@@ -628,6 +629,34 @@ def test_benchmark_names_resolve():
     names += [(module, attr) for module, attr, _ in _bench_literal(tracer, "TARGETS")]
     names.append(_bench_literal(tracer, "PARTITIONS")[:2])
     assert [f"{m}.{a}" for m, a in names if not _resolves(m, a)] == []
+
+
+def test_package_exports_are_used():
+    # An export earns its place when the library itself, the README or the
+    # benchmark uses it: one that only tests call belongs in the tests.
+    root = Path(__file__).resolve().parents[1]
+    package = root / "src" / "flatcount"
+    exported = [
+        alias.name
+        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    docs = [root / "README.md"] + [
+        path for path in sorted((root / "bench").iterdir()) if path.suffix in (".py", ".md")
+    ]
+    for path in docs:
+        used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    assert len(exported) > 30
+    assert [name for name in exported if name not in used] == []
 
 
 def test_families_table():

@@ -27,7 +27,7 @@ from reference_counts import TRIANGLES_5
 
 
 def hf(mapping):
-    return HeightFunction.from_dict(mapping)
+    return HeightFunction(tuple(sorted(mapping.items())))
 
 
 def test_interval_validation():
@@ -53,7 +53,7 @@ def test_height_function_validation():
         HeightFunction(((1, 0), (2, -1)))  # negative height
     with pytest.raises(ValueError):
         HeightFunction(((1, 0.0),))  # not an int
-    assert hf({2: 1, 1: 0}).labels == (1, 2)
+    assert hf({2: 1, 1: 0}).items == ((1, 0), (2, 1))
     assert HeightFunction(((1, False),)).items == ((1, False),)  # bool is an int
 
 
@@ -136,7 +136,7 @@ def _scanned_blocks(labels, interval):
 
 def _grown_blocks(labels, interval):
     blocks = enumerate_connected_blocks(labels, interval)
-    assert all(b.labels == tuple(sorted(labels)) for b in blocks)
+    assert all(tuple(v for v, _ in b.items) == tuple(sorted(labels)) for b in blocks)
     return [tuple(h for _, h in b.items) for b in blocks]
 
 

@@ -10,14 +10,12 @@ from flatcount.species import (
     CompositionConstantTerm,
     CountSeq,
     bell_transform,
-    complete_bell,
     compose_cycles,
     compose_k_set,
     compose_lists,
     compose_lists_nonempty,
     compose_sets,
     compose_sets_nonempty,
-    partial_bell,
     seq_cycles_nonempty,
     seq_k_set,
     seq_lists,
@@ -83,24 +81,11 @@ def test_product_identity_and_singletons():
         f * CountSeq((1,))
 
 
-def test_partial_bell_values():
-    assert partial_bell(4, 2, [1, 1, 1]) == 7
-    assert partial_bell(4, 2, [factorial(i) for i in (1, 2, 3)]) == 36
-    assert partial_bell(4, 2, [factorial(i - 1) for i in (1, 2, 3)]) == 11
-    assert partial_bell(0, 0, []) == 1
-    assert partial_bell(3, 0, []) == 0
-    assert partial_bell(2, 5, []) == 0
-
-
-def test_partial_bell_needs_enough_arguments():
-    with pytest.raises(ValueError):
-        partial_bell(4, 2, [1, 1])
-
-
 def test_complete_bell_values():
-    assert complete_bell(3, [1, 1, 1]) == 5
-    assert complete_bell(3, [1, 2, 6]) == 13
-    assert complete_bell(1, [7]) == 7
+    # The complete Bell polynomial B_n(z) is column n's sum of the Bell transform.
+    assert sum(bell_transform(CountSeq((0, 1, 1, 1))).column(3)) == 5
+    assert sum(bell_transform(CountSeq((0, 1, 2, 6))).column(3)) == 13
+    assert bell_transform(CountSeq((0, 7))).column(1) == (7,)
 
 
 def test_compose_bell_numbers():
@@ -184,16 +169,12 @@ def _partial_bell_reference(n: int, k: int, z) -> int:
     return table[n][k]
 
 
-def test_partial_bell_matches_reference():
-    z = (3, 0, 2, 7, 1, 0, 5, 2, 4)
-    for n in range(10):
-        for k in range(n + 1):
-            args = z[: n - k + 1] if k else z
-            assert partial_bell(n, k, args) == _partial_bell_reference(n, k, args), (n, k)
-
-
-def test_bell_transform_matches_partial_bell():
-    for f in (seq_lists_nonempty(9), CountSeq((0, 2, 0, 5, 1, 0, 3, 1, 4, 2))):
+def test_bell_transform_matches_reference():
+    for f in (
+        seq_lists_nonempty(9),
+        CountSeq((0, 2, 0, 5, 1, 0, 3, 1, 4, 2)),
+        CountSeq((0, 3, 0, 2, 7, 1, 0, 5, 2, 4)),
+    ):
         triangle = bell_transform(f)
         for n in range(1, f.order + 1):
             for k in range(1, f.order + 1):
@@ -209,6 +190,7 @@ def _stirling2_by_enumeration(n):
 
 def test_bell_transform_is_stirling2():
     tri = bell_transform(seq_sets_nonempty(10))
+    assert tri.entry(2, 4) == 7
     for n in range(1, 11):
         counts = _stirling2_by_enumeration(n)
         for k in range(1, n + 1):
@@ -217,6 +199,7 @@ def test_bell_transform_is_stirling2():
 
 def test_bell_transform_is_lah_for_lists():
     tri = bell_transform(seq_lists_nonempty(8))
+    assert tri.entry(2, 4) == 36
     for n in range(1, 9):
         for k in range(1, n + 1):
             lah = (factorial(n) * factorial(n - 1)) // (
@@ -227,6 +210,7 @@ def test_bell_transform_is_lah_for_lists():
 
 def test_bell_transform_is_stirling1_for_cycles():
     tri = bell_transform(seq_cycles_nonempty(5))
+    assert tri.entry(2, 4) == 11
     for k in range(1, 6):
         for n in range(1, 6):
             assert tri.entry(k, n) == STIRLING1_5[k - 1][n - 1]
@@ -265,7 +249,6 @@ def test_row_sums_are_complete_bell(f):
     for n in range(1, f.order + 1):
         column_sum = sum(tri.entry(k, n) for k in range(1, n + 1))
         assert column_sum == totals[n]
-        assert column_sum == complete_bell(n, f.coeffs[1:])
 
 
 @given(zero_constant_seq(), st.integers(min_value=0, max_value=8))
@@ -273,7 +256,10 @@ def test_row_sums_are_complete_bell(f):
 def test_truncation_consistency(g, smaller):
     smaller = min(smaller, g.order)
     f = seq_sets(g.order)
-    assert f.compose(g).truncate(smaller) == f.truncate(smaller).compose(g.truncate(smaller))
+    def truncate(seq):
+        return CountSeq(seq.coeffs[: smaller + 1])
+
+    assert truncate(f.compose(g)) == truncate(f).compose(truncate(g))
 
 
 _ATOM_COMPOSES = (

@@ -1,10 +1,7 @@
-from math import factorial
-
 import pytest
 
 from flatcount.species import (
     bell_transform,
-    partial_bell,
     seq_cycles_nonempty,
     seq_lists_nonempty,
     seq_sets_nonempty,
@@ -18,7 +15,6 @@ from flatcount.triangles import (
     mat_mul,
     mat_pow,
     riordan_columns,
-    shi_count_closed,
     shi_triangle,
     stirling1_matrix,
     stirling2_matrix,
@@ -177,31 +173,26 @@ def test_triangles_match_reference_tables():
             assert tri.column(n) == rows[n - 1], (family, m, n)
 
 
-def test_shi_count_closed():
-    assert shi_count_closed(1, 4, 2) == 36
-    for m in (1, 2, 7):
-        for n in (1, 3, 6):
-            assert shi_count_closed(m, n, n) == 1
-    assert shi_count_closed(5, 5, 1) == 75000
-    with pytest.raises(ValueError):
-        shi_count_closed(2, 4, 5)
-    with pytest.raises(ValueError):
-        shi_count_closed(2, 4, 0)
-    with pytest.raises(ValueError):
-        shi_count_closed(0, 4, 2)
-
-
 def test_shi_triangle_matches_closed_form():
     for m in range(1, 6):
-        tri = shi_triangle(m, 12)
-        for n in range(1, 13):
-            for k in range(1, n + 1):
-                assert tri.entry(k, n) == shi_count_closed(m, n, k)
+        assert shi_triangle(m, 12) == lah_power_closed(m, 12), m
 
 
 def test_lah_power_closed_values():
     assert lah_power_closed(2, 5).entry(1, 3) == 24
     assert lah_power_closed(1, 8) == lah_matrix(8)
+    assert lah_power_closed(1, 4).entry(2, 4) == 36
+    for m in (1, 2, 7):
+        closed = lah_power_closed(m, 6)
+        for n in (1, 3, 6):
+            assert closed.entry(n, n) == 1
+    assert lah_power_closed(5, 5).entry(1, 5) == 75000
+    with pytest.raises(ValueError):
+        lah_power_closed(2, 4).entry(5, 4)
+    with pytest.raises(ValueError):
+        lah_power_closed(2, 4).entry(0, 4)
+    with pytest.raises(ValueError):
+        lah_power_closed(0, 4)
 
 
 def test_total_flats():
@@ -229,11 +220,7 @@ def test_catalan_from_shi_recursion():
 
 
 def test_shi_one_is_lah_bell_transform():
-    tri = shi_triangle(1, 12)
-    factorials = [factorial(i) for i in range(1, 13)]
-    for n in range(1, 13):
-        for k in range(1, n + 1):
-            assert tri.entry(k, n) == partial_bell(n, k, factorials)
+    assert shi_triangle(1, 12) == bell_transform(seq_lists_nonempty(12))
 
 
 def test_triangularity_preserved():
