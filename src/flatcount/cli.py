@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help="ambient dimension; n = 7 takes 4-5 s at catalan -m 2 and 12-16 s at shi -m 3, "
+        help="ambient dimension; n = 7 takes 2-2.5 s at catalan -m 2 and 6-9 s at shi -m 3, "
         "n = 6 with --method linear 0.5-0.7 s at catalan -m 1",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")

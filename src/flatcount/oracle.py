@@ -18,8 +18,12 @@ they exist to check the matrix formulas, and the README gives measured
 times. The gain-graph route grows the connected blocks of each size from
 those one size smaller, inserting one position adjacent to a placed one, so
 it only visits connected height vectors, and it counts each partition from
-per-size block counts. It keeps those counts, not the blocks. Height
-functions share their (label, height) pairs. The linear route
+per-size block counts. It keeps those counts, not the blocks. A height
+vector is one int, a fixed-width bit field per position, so the children
+of one parent at one index and a run of heights are a range of ints.
+enumerate_connected_blocks keeps each size's vectors, sorted, and unpacks
+them onto each label tuple; height functions share their (label, height)
+pairs. The linear route
 reduces over the integers, which is exact because every pivot of these
 graphic systems is +1 or -1, and plans the reduction once per coefficient
 rows and coordinate pair, so each gain only shifts the constants. Both are
@@ -136,53 +140,105 @@ def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
     return count == r
 
 
+def _field_width(size: int, interval: GainInterval) -> int:
+    """Bits per position of a packed height vector on `size` labels.
+
+    A connected block's heights are at most the spanning-tree bound
+    (size - 1) * max(|lo|, |hi|), so every height fits in this many bits.
+    """
+    bound = (size - 1) * max(abs(interval.lo), abs(interval.hi))
+    return max(1, bound.bit_length())
+
+
 def _block_levels(size: int, interval: GainInterval):
     """Yield the height vectors of the connected blocks on r ordered labels,
-    each size as a set in no order, for r = 1, 2, ..., size.
+    each size as a set of packed ints in no order, for r = 1, 2, ..., size.
 
-    Adjacency depends only on the order of the labels, so the vectors serve
-    every label set of this size. A block of size r > 1 is a block of size
-    r - 1 with one position inserted at some index j, at a height adjacent
-    to a placed position i: h_i + a when i < j and h_i - a otherwise, for a
-    gain a in the interval. Every connected block is reached, because
-    removing a non-cut vertex, which every connected graph has, leaves a
-    connected block one size smaller. Every block reached is connected,
-    because a vertex adjacent to a connected block keeps the block connected.
-    The vectors are normalized to minimum 0. Only the parent size and the
-    set being grown are alive at once.
+    A vector packs one _field_width(size, interval)-bit field per position,
+    the first position most significant, so numeric order on one size is
+    lexicographic order of the vectors. Adjacency depends only on the order
+    of the labels, so the vectors serve every label set of this size. A
+    block of size r > 1 is a block of size r - 1 with one position inserted
+    at some index j, at a height adjacent to a placed position i: h_i + a
+    when i < j and h_i - a otherwise, for a gain a in the interval. Every
+    connected block is reached, because removing a non-cut vertex, which
+    every connected graph has, leaves a connected block one size smaller.
+    Every block reached is connected, because a vertex adjacent to a
+    connected block keeps the block connected. The vectors are normalized
+    to minimum 0. The heights a new position at index j can take come from
+    one prefix and one suffix union of the parent's gain ranges, as a bit
+    mask; a run of them x >= 0 gives children that step by the field of
+    index j, and a run x < 0, where the new position is the lowest and the
+    others rise by -x, children that step by the repunit less that field,
+    so each run is one set.update of a range. Only the sorted parents and
+    the set being grown are alive at once.
     """
     lo, hi = interval.lo, interval.hi
-    level = {(0,)}
+    span = max(abs(lo), abs(hi))
+    width = _field_width(size, interval)
+    field = (1 << width) - 1
+    # A reach mask has bit x + span set when height x is adjacent to a placed
+    # position: up[h] covers [h + lo, h + hi], down[h] covers [h - hi, h - lo].
+    window = (1 << (hi - lo + 1)) - 1
+    heights = range((size - 1) * span + 1)
+    up = [window << (h + lo + span) for h in heights]
+    down = [window << (h - hi + span) for h in heights]
+    runs = {}  # reach mask -> _runs of it
+    level = {0}
     yield level
     for r in range(2, size + 1):
-        grown = set()
-        # Parents in sorted order: measured faster than the set's own order.
-        for heights in sorted(level):
-            # reach[j], the heights adjacent to a placed position when the
-            # new one goes in at index j, is the union of [h + lo, h + hi]
-            # over the positions before j and of [h - hi, h - lo] over
-            # those from j on: one prefix and one suffix union.
-            reach = [set()]
-            for h in heights:
-                reach.append(reach[-1].union(range(h + lo, h + hi + 1)))
-            after = set()
+        parents = sorted(level)  # measured faster than the set's own order
+        level = set()
+        # Index j of a child is the field from bit places[j] up, and adding
+        # repunit - (1 << places[j]) raises every other field by one.
+        repunit = sum(1 << width * k for k in range(r))
+        places = [width * (r - 1 - j) for j in range(r)]
+        for packed in parents:
+            vector = [packed >> place & field for place in places[1:]]
+            # reach[j] for the new position at index j is the prefix union
+            # of up over the positions before j and the suffix union of down
+            # over those from j on.
+            reach = [0]
+            for h in vector:
+                reach.append(reach[-1] | up[h])
+            after = 0
             for j in range(r - 1, -1, -1):
-                reach[j] |= after
+                mask = reach[j] | after
                 if j:
-                    after = after.union(range(heights[j - 1] - hi, heights[j - 1] - lo + 1))
-            shifted = {}  # the parent raised by -x, once per x < 0
-            for j, xs in enumerate(reach):
-                head, tail = heights[:j], heights[j:]
-                for x in xs:
-                    if x < 0:  # the new position is the lowest: renormalize
-                        if x not in shifted:
-                            shifted[x] = tuple(h - x for h in heights)
-                        up = shifted[x]
-                        grown.add(up[:j] + (0,) + up[j:])
-                    else:
-                        grown.add(head + (x,) + tail)
-        level = grown
+                    after |= down[vector[j - 1]]
+                spans = runs.get(mask)
+                if spans is None:
+                    spans = runs[mask] = _runs(mask, span)
+                lowered, placed = spans
+                place = places[j]
+                step = 1 << place
+                base = (packed >> place << place + width) | (packed & step - 1)
+                for a, c in placed:
+                    level.update(range(base + a * step, base + c * step, step))
+                if lowered:
+                    raise_ = repunit - step
+                    for a, c in lowered:
+                        level.update(range(base + a * raise_, base + c * raise_, raise_))
         yield level
+
+
+def _runs(mask: int, offset: int):
+    """The runs of set bits of a reach mask whose bit x + offset stands for
+    height x, split at 0: the runs below 0 as [d, d') when the heights are
+    -d, ..., 1 - d', each raising the other positions by -x, and the runs
+    from 0 up as [a, c) when the heights are a, ..., c - 1."""
+    lowered = []
+    placed = []
+    while mask:
+        low = mask & -mask
+        a = low.bit_length() - 1 - offset
+        c = ((mask + low) & ~mask).bit_length() - 1 - offset
+        mask &= mask + low
+        if a < 0:
+            lowered.append((1 - min(c, 0), 1 - a))
+        if c > 0:
+            placed.append((max(a, 0), c))
+    return tuple(lowered), tuple(placed)
 
 
 # The block counts (0, c_1, ..., c_n) of each interval, for the largest n
@@ -191,13 +247,27 @@ _COUNTS: dict[GainInterval, tuple[int, ...]] = {}
 
 
 @lru_cache(maxsize=None)
+def _sorted_blocks(size: int, interval: GainInterval) -> tuple[int, ...]:
+    """The packed height vectors of the connected blocks on `size` labels, in
+    ascending order, grown once per size and interval for every label tuple."""
+    for level in _block_levels(size, interval):
+        pass
+    return tuple(sorted(level))
+
+
+@lru_cache(maxsize=None)
 def _labelled_blocks(members: tuple[int, ...], interval: GainInterval):
     """The connected blocks on these sorted labels, in lexicographic order of
     their height vectors, built once per label tuple so that repeated
     requests share one result."""
-    for level in _block_levels(len(members), interval):
-        pass
-    return tuple(HeightFunction(tuple(zip(members, heights))) for heights in sorted(level))
+    size = len(members)
+    width = _field_width(size, interval)
+    field = (1 << width) - 1
+    places = range(width * (size - 1), -1, -width)
+    return tuple(
+        HeightFunction(tuple(zip(members, [packed >> place & field for place in places])))
+        for packed in _sorted_blocks(size, interval)
+    )
 
 
 def sorted_labels(labels) -> tuple[int, ...]:

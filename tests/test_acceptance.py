@@ -2,7 +2,10 @@
 pass/fail line with its runtime (run with -s to see them). All numeric
 comparisons are exact integer equality."""
 
+import os
 import random
+import subprocess
+import sys
 from math import comb, factorial
 from time import perf_counter
 
@@ -28,6 +31,7 @@ from flatcount.triangles import (
     lah_matrix,
     lah_power_closed,
     mat_pow,
+    riordan_columns,
     shi_triangle,
     total_flats,
 )
@@ -259,3 +263,35 @@ def test_criterion_12_linear_oracle_runtime():
             assert tuple(counts.get(k, 0) for k in range(1, 6)) == column, interval
 
     check(12, 0.5, "linear-algebra oracle for verify --linear's intervals, n = 5", body)
+
+
+# Starts the command given in argv, passes its stdout on, and writes its exit
+# code and peak RSS in KiB to stderr. A child's ru_maxrss also counts the
+# pages it shared with its parent before exec, so the test process, which
+# has grown by then, starts this small one to start the command.
+_LAUNCHER = """
+import os, subprocess, sys
+with subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE) as proc:
+    out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+sys.stdout.buffer.write(out)
+print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
+"""
+
+
+def test_criterion_13_gain_oracle_memory_at_n7():
+    # Shi m = 2 is the word with (p, q) = (2, 2). The peak RSS is the
+    # command's own rusage: RUSAGE_CHILDREN would pool every earlier child.
+    *_, column = riordan_columns(2, 2, 7)
+    command = [sys.executable, "-m", "flatcount", "oracle", "shi", "-m", "2", "-n", "7"]
+
+    def body():
+        proc = subprocess.run(
+            [sys.executable, "-c", _LAUNCHER, *command], capture_output=True, check=True
+        )
+        code, peak_kib = map(int, proc.stderr.split())
+        assert (code, proc.stdout) == (0, " ".join(map(str, column)).encode() + b"\n")
+        assert peak_kib / 1024 < 60, f"peak RSS {peak_kib / 1024:.1f} MB"
+
+    check(13, 4.0, "gain-graph oracle shi m = 2 at n = 7: under 4 s and 60 MB", body)

@@ -151,6 +151,19 @@ def test_grown_blocks_match_grid_scan(lo, hi):
         assert _grown_blocks(labels, interval) == _scanned_blocks(labels, interval)
 
 
+@pytest.mark.parametrize("lo, hi", [(-5, 2), (2, 5), (-7, -3)])
+def test_grown_blocks_fill_the_packed_field(lo, hi):
+    # Kept apart from the grid scan above, which would take too long at r = 5.
+    # At r = 4 the largest height of [-5, 2] and [2, 5] reaches the
+    # spanning-tree bound 15 = 2**4 - 1, every bit of a field. Every gain of
+    # [-7, -3] is negative, so heights fall along each edge in label order
+    # and many insertions land below 0 and raise the other positions.
+    interval = GainInterval(lo, hi)
+    for r in range(1, 5):
+        labels = tuple(range(1, r + 1))
+        assert _grown_blocks(labels, interval) == _scanned_blocks(labels, interval)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_grown_blocks_on_scattered_labels_shi(m):
     # Shi gains are asymmetric, so the heights must land on the labels in
@@ -207,6 +220,22 @@ def test_flats_gain_keeps_no_blocks_of_size_n(monkeypatch):
     vectors = [tuple(h for _, h in b.items) for b in blocks]
     assert vectors == sorted(vectors)
     assert descending[4][1] == len(blocks)
+
+
+def test_connected_blocks_relabel_the_blocks_of_a_size(monkeypatch):
+    # An interval no other test asks for, so the first call grows its blocks.
+    interval = GainInterval(0, 4)
+    first = enumerate_connected_blocks((1, 2, 3, 4, 5), interval)
+    # A new label tuple of the same size relabels the kept vectors.
+    monkeypatch.setattr(oracle, "_block_levels", None)
+    relabelled = enumerate_connected_blocks((2, 3, 5, 7, 11), interval)
+    monkeypatch.undo()
+    # Growing afresh, with no kept vectors, gives the same blocks.
+    monkeypatch.setattr(oracle, "_sorted_blocks", oracle._sorted_blocks.__wrapped__)
+    assert relabelled == oracle._labelled_blocks.__wrapped__((2, 3, 5, 7, 11), interval)
+    assert [[h for _, h in b.items] for b in relabelled] == [
+        [h for _, h in b.items] for b in first
+    ]
 
 
 @pytest.mark.parametrize("family", [name for name, row in FAMILIES.items() if row.verify_m_max])

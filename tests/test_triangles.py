@@ -173,11 +173,6 @@ def test_triangles_match_reference_tables():
             assert tri.column(n) == rows[n - 1], (family, m, n)
 
 
-def test_shi_triangle_matches_closed_form():
-    for m in range(1, 6):
-        assert shi_triangle(m, 12) == lah_power_closed(m, 12), m
-
-
 def test_lah_power_closed_values():
     assert lah_power_closed(2, 5).entry(1, 3) == 24
     assert lah_power_closed(1, 8) == lah_matrix(8)
