@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 141 (128 + SIGPIPE) output pipe closed by the reader.
 All numeric output is exact decimal. `count`, `table`, `oracle` and `verify`
 print numbers of any length; `eval` refuses a coefficient of more than
-MAX_DIGITS digits (exit 3).
+MAX_DIGITS digits, and a `^o` power whose a_1 passes dsl.MAX_ITERATE_BITS
+bits (exit 3). `count` and `table` refuse an n above MAX_ORDER (exit 2).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from collections.abc import Callable, Iterator
 from math import ceil, log2
 from operator import itemgetter
 
-from .dsl import MAX_EXPONENT_BITS, ParseError, evaluate_text
+from .dsl import MAX_EXPONENT_BITS, ExpressionTooLarge, ParseError, evaluate_text
 from .oracle import GainInterval, enumerate_flats_gain, enumerate_flats_linear
 from .record import Record
 from .species import CompositionConstantTerm
@@ -34,11 +35,13 @@ from .triangles import DEFAULT_ORDER, riordan_columns
 # 0.1 s for the three intervals, n = 6 about 0.5-0.7 s for [-1, 1] and 2-3 s
 # for [-1, 2].
 LINEAR_N_MAX = 5
-# The largest `eval --order`. Every atom's sequence is built at the full
-# order before any work, so an order of 10^9 would fill memory. At 2000,
-# `eval L` takes 0.9 s, `eval "E o E+"` 21 s and `eval "E o L+^o3 o E+"`
-# 7.4 min. The bound still admits coefficients past Python's default limit
-# of 4300 digits on int/str conversion: 1800! has 5080.
+# The largest `eval --order`, and the largest n of `count` and `table`.
+# Every atom's sequence is built at the full order before any work, so an
+# order of 10^9 would fill memory. At 2000, `eval L` takes 0.9 s,
+# `eval "E o E+"` 21 s and `eval "E o L+^o3 o E+"` 7.4 min. The bound still
+# admits coefficients past Python's default limit of 4300 digits on int/str
+# conversion: 1800! has 5080. The columns of `count` and `table` cost about
+# 6x per doubling of n: `count catalan -m 2 -n 2000` takes about 6 s.
 MAX_ORDER = 2000
 # `eval` prints no coefficient of more bits than 10^MAX_DIGITS has, so every
 # coefficient it refuses has more than MAX_DIGITS digits. CPython 3.11
@@ -87,13 +90,13 @@ def formula_triangle(family: str, m: int, size: int) -> Iterator[tuple[int, ...]
     return riordan_columns(m, m + FAMILIES[family].q_shift, size)
 
 
-def _parse_range(text: str, what: str, parser) -> tuple[int, ...]:
+def _parse_range(text: str, what: str, parser) -> range:
     try:
         if ":" in text:
             lo, hi = text.split(":", 1)
-            values = tuple(range(int(lo), int(hi) + 1))
         else:
-            values = (int(text),)
+            lo = hi = text
+        values = range(int(lo), int(hi) + 1)
     except ValueError:
         parser.error(f"bad {what} range {text!r}: use N or LO:HI")
     if not values:
@@ -114,10 +117,17 @@ def _check_family_m(family: str, m, parser) -> int:
     return m
 
 
+def _check_n(least: int, most: int, parser) -> None:
+    """Refuse the n of `count` or `table` outside 1..MAX_ORDER."""
+    if least < 1:
+        parser.error("n must be positive")
+    if most > MAX_ORDER:
+        parser.error(f"n must be at most {MAX_ORDER}")
+
+
 def cmd_count(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
-    if args.n < 1:
-        parser.error("n must be positive")
+    _check_n(args.n, args.n, parser)
     for column in formula_triangle(args.family, m, args.n):
         pass  # keep only the last column, n = args.n
     if args.by_dim:
@@ -169,12 +179,12 @@ def cmd_table(args, parser) -> int:
     if args.m is None:
         m_values = FAMILIES[args.family].table_m
     else:
-        m_values = _parse_range(args.m, "m", parser)
+        m_values = tuple(_parse_range(args.m, "m", parser))
         for m in m_values:
             _check_family_m(args.family, m, parser)
     n_values = _parse_range(args.n, "n", parser)
-    if min(n_values) < 1:
-        parser.error("n must be positive")
+    _check_n(n_values[0], n_values[-1], parser)
+    n_values = tuple(n_values)
     if args.mode == "by-dimension" and len(m_values) != 1:
         parser.error("by-dimension tables need a single m")
     if args.format == "bfile":
@@ -209,7 +219,7 @@ def cmd_eval(args, parser) -> int:
         where = f" on line {lineno}" if lineno is not None else ""
         try:
             seq = evaluate_text(text, args.order)
-        except (ParseError, CompositionConstantTerm) as err:
+        except (ParseError, CompositionConstantTerm, ExpressionTooLarge) as err:
             print(f"error{where}: {err}", file=sys.stderr)
             return 3
         # Sized from the bits, before any decimal conversion starts.
@@ -297,13 +307,17 @@ def build_parser() -> argparse.ArgumentParser:
     count = sub.add_parser("count", help="flat counts for one arrangement")
     count.add_argument("family", choices=FAMILIES)
     count.add_argument("-m", type=int, default=None, help="extension parameter")
-    count.add_argument("-n", type=int, required=True, help="ambient dimension")
+    count.add_argument(
+        "-n", type=int, required=True, help=f"ambient dimension, at most {MAX_ORDER}"
+    )
     count.add_argument("--by-dim", action="store_true", help="print counts for k = 1..n")
 
     table = sub.add_parser("table", help="render a reference table")
     table.add_argument("family", choices=FAMILIES)
     table.add_argument("-m", default=None, help="m or LO:HI (default: the shipped range)")
-    table.add_argument("-n", default="1:7", help="n or LO:HI (default 1:7)")
+    table.add_argument(
+        "-n", default="1:7", help=f"n or LO:HI (default 1:7), each n at most {MAX_ORDER}"
+    )
     table.add_argument(
         "--mode",
         choices=("totals", "by-dimension", "one-dimensional"),
@@ -337,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help="ambient dimension; n = 7 takes 2-2.5 s at catalan -m 2 and 6-9 s at shi -m 3, "
+        help="ambient dimension; n = 7 takes 2 s at catalan -m 2 and 6.5-7.5 s at shi -m 3, "
         "n = 6 with --method linear 0.5-0.7 s at catalan -m 1",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")

@@ -16,14 +16,14 @@ the flats are provided:
 Both enumerate every flat, so their cost grows with the number of flats;
 they exist to check the matrix formulas, and the README gives measured
 times. The gain-graph route grows the connected blocks of each size from
-those one size smaller, inserting one position adjacent to a placed one, so
-it only visits connected height vectors, and it counts each partition from
-per-size block counts. It keeps those counts, not the blocks. A height
-vector is one int, a fixed-width bit field per position, so the children
-of one parent at one index and a run of heights are a range of ints.
-enumerate_connected_blocks keeps each size's vectors, sorted, and unpacks
-them onto each label tuple; height functions share their (label, height)
-pairs. The linear route
+those one size smaller, inserting one position at a height >= 0 adjacent
+to a placed one, so it only visits connected height vectors, each already
+of minimum 0, and it counts each partition from per-size block counts. It
+keeps those counts, not the blocks. A height vector is one int, a
+fixed-width bit field per position, so the children of one parent at one
+index and a run of heights are a range of ints. enumerate_connected_blocks
+keeps each size's vectors, sorted, and unpacks them onto each label tuple;
+height functions share their (label, height) pairs. The linear route
 reduces over the integers, which is exact because every pivot of these
 graphic systems is +1 or -1, and plans the reduction once per coefficient
 rows and coordinate pair, so each gain only shifts the constants. Both are
@@ -159,39 +159,38 @@ def _block_levels(size: int, interval: GainInterval):
     lexicographic order of the vectors. Adjacency depends only on the order
     of the labels, so the vectors serve every label set of this size. A
     block of size r > 1 is a block of size r - 1 with one position inserted
-    at some index j, at a height adjacent to a placed position i: h_i + a
-    when i < j and h_i - a otherwise, for a gain a in the interval. Every
-    connected block is reached, because removing a non-cut vertex, which
-    every connected graph has, leaves a connected block one size smaller.
-    Every block reached is connected, because a vertex adjacent to a
-    connected block keeps the block connected. The vectors are normalized
-    to minimum 0. The heights a new position at index j can take come from
-    one prefix and one suffix union of the parent's gain ranges, as a bit
-    mask; a run of them x >= 0 gives children that step by the field of
-    index j, and a run x < 0, where the new position is the lowest and the
-    others rise by -x, children that step by the repunit less that field,
-    so each run is one set.update of a range. Only the sorted parents and
-    the set being grown are alive at once.
+    at some index j, at a height x >= 0 adjacent to a placed position i:
+    x = h_i + a when i < j and x = h_i - a otherwise, for a gain a in the
+    interval. The child keeps the parent's height 0, so it is normalized.
+    Every connected block is reached: its gain graph has at least two
+    non-cut vertices (the leaves of a spanning tree), so one of them is not
+    its only position of height 0, and removing that one leaves a connected
+    block one size smaller, still of minimum 0, from which inserting it
+    again at its height, which is >= 0, gives the block back. Every block
+    reached is connected, because a vertex adjacent to a connected block
+    keeps the block connected. The heights a new position at index j can
+    take come from one prefix and one suffix union of the parent's gain
+    ranges, as a bit mask; a run of them gives children that step by the
+    field of index j, so each run is one set.update of a range. Only the
+    sorted parents and the set being grown are alive at once.
     """
     lo, hi = interval.lo, interval.hi
     span = max(abs(lo), abs(hi))
     width = _field_width(size, interval)
     field = (1 << width) - 1
-    # A reach mask has bit x + span set when height x is adjacent to a placed
+    # A reach mask has bit x set when height x >= 0 is adjacent to a placed
     # position: up[h] covers [h + lo, h + hi], down[h] covers [h - hi, h - lo].
     window = (1 << (hi - lo + 1)) - 1
     heights = range((size - 1) * span + 1)
-    up = [window << (h + lo + span) for h in heights]
-    down = [window << (h - hi + span) for h in heights]
+    up = [window << (h + lo + span) >> span for h in heights]
+    down = [window << (h - hi + span) >> span for h in heights]
     runs = {}  # reach mask -> _runs of it
     level = {0}
     yield level
     for r in range(2, size + 1):
         parents = sorted(level)  # measured faster than the set's own order
         level = set()
-        # Index j of a child is the field from bit places[j] up, and adding
-        # repunit - (1 << places[j]) raises every other field by one.
-        repunit = sum(1 << width * k for k in range(r))
+        # Index j of a child is the field from bit places[j] up.
         places = [width * (r - 1 - j) for j in range(r)]
         for packed in parents:
             vector = [packed >> place & field for place in places[1:]]
@@ -208,37 +207,24 @@ def _block_levels(size: int, interval: GainInterval):
                     after |= down[vector[j - 1]]
                 spans = runs.get(mask)
                 if spans is None:
-                    spans = runs[mask] = _runs(mask, span)
-                lowered, placed = spans
+                    spans = runs[mask] = _runs(mask)
                 place = places[j]
                 step = 1 << place
                 base = (packed >> place << place + width) | (packed & step - 1)
-                for a, c in placed:
+                for a, c in spans:
                     level.update(range(base + a * step, base + c * step, step))
-                if lowered:
-                    raise_ = repunit - step
-                    for a, c in lowered:
-                        level.update(range(base + a * raise_, base + c * raise_, raise_))
         yield level
 
 
-def _runs(mask: int, offset: int):
-    """The runs of set bits of a reach mask whose bit x + offset stands for
-    height x, split at 0: the runs below 0 as [d, d') when the heights are
-    -d, ..., 1 - d', each raising the other positions by -x, and the runs
-    from 0 up as [a, c) when the heights are a, ..., c - 1."""
-    lowered = []
-    placed = []
+def _runs(mask: int):
+    """The runs of set bits of a reach mask, bit x standing for height x, as
+    [a, c) when the heights a, ..., c - 1 are all reachable."""
+    runs = []
     while mask:
         low = mask & -mask
-        a = low.bit_length() - 1 - offset
-        c = ((mask + low) & ~mask).bit_length() - 1 - offset
+        runs.append((low.bit_length() - 1, ((mask + low) & ~mask).bit_length() - 1))
         mask &= mask + low
-        if a < 0:
-            lowered.append((1 - min(c, 0), 1 - a))
-        if c > 0:
-            placed.append((max(a, 0), c))
-    return tuple(lowered), tuple(placed)
+    return tuple(runs)
 
 
 # The block counts (0, c_1, ..., c_n) of each interval, for the largest n

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatcount import cli
-from flatcount.dsl import MAX_EXPONENT_BITS
+from flatcount.dsl import MAX_EXPONENT_BITS, MAX_ITERATE_BITS
 from flatcount.oracle import GainInterval
 from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
@@ -48,6 +48,25 @@ def test_count_argument_errors(capsys):
     assert run(["count", "shi", "-m", "0", "-n", "3"], capsys)[0] == 2
     assert run(["count", "catalan", "-m", "-1", "-n", "3"], capsys)[0] == 2
     assert run(["count", "linial", "-m", "1", "-n", "3"], capsys)[0] == 2
+
+
+def test_count_and_table_bound_n(capsys):
+    # Each doubling of n costs about six times as much, so n = 100000 would
+    # run for days; it is refused at once, as is a range reaching past the
+    # bound, before the range is built.
+    start = time.perf_counter()
+    for argv in (
+        ["count", "catalan", "-m", "2", "-n", "100000"],
+        ["count", "braid", "-n", str(cli.MAX_ORDER + 1)],
+        ["table", "shi", "-n", "1:100000000000"],
+        ["table", "catalan", "-m", "1", "-n", str(cli.MAX_ORDER + 1), "--format", "bfile"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: n must be at most {cli.MAX_ORDER}\n"), argv
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(["table", "shi", "-m", "1", "-n", "1:3"], capsys)
+    assert (code, out) == (0, "m\t1\t2\t3\n1\t1\t3\t13\n")
 
 
 def test_eval(capsys):
@@ -152,6 +171,30 @@ def test_eval_refuses_coefficients_too_long_to_print():
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr == f"error: a_1 has more than {cli.MAX_DIGITS} digits\n"
     assert time.perf_counter() - start < 10
+
+
+def test_eval_refuses_a_power_whose_a1_passes_the_bound():
+    # a_1 of (X+X)^o t is 2^t. At t = 10^10 it would fill 1.25 GB and take
+    # minutes; it is refused from t and b_1 = 2 before any squaring. The
+    # child's address space is capped so that a failure cannot fill memory.
+    def capped():
+        import resource
+
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", "eval", "(X+X)^o10000000000", "--order", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=capped,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == (
+        f"error: a_1 of '(X + X)^o10000000000' has more than {MAX_ITERATE_BITS} bits\n"
+    )
 
 
 def test_eval_errors_exit_3(capsys):

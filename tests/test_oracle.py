@@ -157,11 +157,23 @@ def test_grown_blocks_fill_the_packed_field(lo, hi):
     # At r = 4 the largest height of [-5, 2] and [2, 5] reaches the
     # spanning-tree bound 15 = 2**4 - 1, every bit of a field. Every gain of
     # [-7, -3] is negative, so heights fall along each edge in label order
-    # and many insertions land below 0 and raise the other positions.
+    # and a block's height 0 is often at its last position alone: growth
+    # reaches such a block only by inserting the earlier positions above 0.
     interval = GainInterval(lo, hi)
     for r in range(1, 5):
         labels = tuple(range(1, r + 1))
         assert _grown_blocks(labels, interval) == _scanned_blocks(labels, interval)
+
+
+@pytest.mark.parametrize("lo, hi, count", [(-7, -3, 25816), (2, 5, 8830)])
+def test_grown_blocks_mirror_the_mirrored_interval(lo, hi, count):
+    # Past the grid scan's reach, at r = 5. Relabelling i as 6 - i maps the
+    # arrangement of [lo, hi] onto that of [-hi, -lo], so each block's height
+    # vector, reversed, is a block of the mirrored interval, and back.
+    labels = (1, 2, 3, 4, 5)
+    grown = {heights[::-1] for heights in _grown_blocks(labels, GainInterval(lo, hi))}
+    assert len(grown) == count
+    assert grown == set(_grown_blocks(labels, GainInterval(-hi, -lo)))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
