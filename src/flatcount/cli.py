@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 All numeric output is exact decimal. `count`, `table`, `oracle` and `verify`
 print numbers of any length; `eval` refuses a coefficient of more than
 MAX_DIGITS digits, and a `^o` power whose a_1 passes dsl.MAX_ITERATE_BITS
-bits (exit 3). `count` and `table` refuse an n above MAX_ORDER (exit 2).
+bits (exit 3). `count` and `table` refuse an n above MAX_ORDER, and
+`table` an m range of more than MAX_ORDER values (exit 2).
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ from .triangles import DEFAULT_ORDER, riordan_columns
 # 0.1 s for the three intervals, n = 6 about 0.5-0.7 s for [-1, 1] and 2-3 s
 # for [-1, 2].
 LINEAR_N_MAX = 5
-# The largest `eval --order`, and the largest n of `count` and `table`.
+# The largest `eval --order`, the largest n of `count` and `table`, and the
+# most m values of one `table`.
 # Every atom's sequence is built at the full order before any work, so an
 # order of 10^9 would fill memory. At 2000, `eval L` takes 0.9 s,
 # `eval "E o E+"` 21 s and `eval "E o L+^o3 o E+"` 7.4 min. The bound still
 # admits coefficients past Python's default limit of 4300 digits on int/str
 # conversion: 1800! has 5080. The columns of `count` and `table` cost about
-# 6x per doubling of n: `count catalan -m 2 -n 2000` takes about 6 s.
+# 6x per doubling of n: `count catalan -m 2 -n 2000` takes about 6 s. A
+# table builds one triangle per m: `table catalan -m 1:2000 -n 1:50` takes
+# about 1.2 s.
 MAX_ORDER = 2000
 # `eval` prints no coefficient of more bits than 10^MAX_DIGITS has, so every
 # coefficient it refuses has more than MAX_DIGITS digits. CPython 3.11
@@ -179,9 +183,12 @@ def cmd_table(args, parser) -> int:
     if args.m is None:
         m_values = FAMILIES[args.family].table_m
     else:
-        m_values = tuple(_parse_range(args.m, "m", parser))
-        for m in m_values:
-            _check_family_m(args.family, m, parser)
+        m_range = _parse_range(args.m, "m", parser)
+        # Ranges ascend, so the first m decides the family check for all.
+        _check_family_m(args.family, m_range[0], parser)
+        if len(m_range) > MAX_ORDER:
+            parser.error(f"an m range holds at most {MAX_ORDER} values")
+        m_values = tuple(m_range)
     n_values = _parse_range(args.n, "n", parser)
     _check_n(n_values[0], n_values[-1], parser)
     n_values = tuple(n_values)
@@ -314,7 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table", help="render a reference table")
     table.add_argument("family", choices=FAMILIES)
-    table.add_argument("-m", default=None, help="m or LO:HI (default: the shipped range)")
+    table.add_argument(
+        "-m",
+        default=None,
+        help=f"m or LO:HI (default: the shipped range), at most {MAX_ORDER} values",
+    )
     table.add_argument(
         "-n", default="1:7", help=f"n or LO:HI (default 1:7), each n at most {MAX_ORDER}"
     )

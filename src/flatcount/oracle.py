@@ -22,12 +22,12 @@ of minimum 0, and it counts each partition from per-size block counts. It
 keeps those counts, not the blocks. A height vector is one int, a
 fixed-width bit field per position, so the children of one parent at one
 index and a run of heights are a range of ints. enumerate_connected_blocks
-keeps each size's vectors, sorted, and unpacks them onto each label tuple;
-height functions share their (label, height) pairs. The linear route
-reduces over the integers, which is exact because every pivot of these
-graphic systems is +1 or -1, and plans the reduction once per coefficient
-rows and coordinate pair, so each gain only shifts the constants. Both are
-practical up to about n = 7 and n = 6 respectively.
+grows the vectors of one size, sorts them and unpacks them onto the label
+tuple asked for; height functions share their (label, height) pairs. The
+linear route reduces over the integers, which is exact because every pivot
+of these graphic systems is +1 or -1, and plans the reduction once per
+coefficient rows and coordinate pair, so each gain only shifts the
+constants. Both are practical up to about n = 7 and n = 6 respectively.
 """
 
 from __future__ import annotations
@@ -233,26 +233,19 @@ _COUNTS: dict[GainInterval, tuple[int, ...]] = {}
 
 
 @lru_cache(maxsize=None)
-def _sorted_blocks(size: int, interval: GainInterval) -> tuple[int, ...]:
-    """The packed height vectors of the connected blocks on `size` labels, in
-    ascending order, grown once per size and interval for every label tuple."""
-    for level in _block_levels(size, interval):
-        pass
-    return tuple(sorted(level))
-
-
-@lru_cache(maxsize=None)
 def _labelled_blocks(members: tuple[int, ...], interval: GainInterval):
     """The connected blocks on these sorted labels, in lexicographic order of
-    their height vectors, built once per label tuple so that repeated
-    requests share one result."""
+    their height vectors: the last level of _block_levels, sorted and unpacked
+    once per label tuple, so that repeated requests share one result."""
     size = len(members)
+    for level in _block_levels(size, interval):
+        pass
     width = _field_width(size, interval)
     field = (1 << width) - 1
     places = range(width * (size - 1), -1, -width)
     return tuple(
         HeightFunction(tuple(zip(members, [packed >> place & field for place in places])))
-        for packed in _sorted_blocks(size, interval)
+        for packed in sorted(level)
     )
 
 

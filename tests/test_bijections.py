@@ -39,6 +39,20 @@ def test_structure_helpers():
     assert structure_depth(frozenset({1, 2})) == 0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: height_to_catalan_structure(hf({1: 0}), -1), "m must be nonnegative"),
+        (lambda: enumerate_catalan_structures((1, 2), -1), "m must be nonnegative"),
+    ],
+    ids=["to-structure", "enumerate"],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_enumerate_nested_lists_counts():
     assert len(enumerate_nested_lists([1, 2, 3], 2)) == 24
     assert enumerate_nested_lists([7], 3) == ((((7,),),),)

@@ -69,6 +69,25 @@ def test_count_and_table_bound_n(capsys):
     assert (code, out) == (0, "m\t1\t2\t3\n1\t1\t3\t13\n")
 
 
+def test_table_bounds_the_m_range(capsys):
+    # The m range is checked before any m is built, so a range of 10^11
+    # values neither fills memory nor runs one triangle per m.
+    start = time.perf_counter()
+    for argv in (
+        ["table", "catalan", "-m", "1:100000000000", "-n", "1:3"],
+        ["table", "catalan", "-m", "1:3000000", "-n", "1:3"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.endswith(f"error: an m range holds at most {cli.MAX_ORDER} values\n"), argv
+    assert time.perf_counter() - start < 0.5
+    # Ranges ascend, so the first m is the one the family check needs.
+    code, _, err = run(["table", "shi", "-m", "0:3", "-n", "1:3"], capsys)
+    assert code == 2 and err.endswith("error: shi needs m >= 1\n")
+    code, out, _ = run(["table", "catalan", "-m", "1:2000", "-n", "1:3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2001
+
+
 def test_eval(capsys):
     code, out, _ = run(["eval", "E o L+^o3", "--order", "5"], capsys)
     assert (code, out) == (0, "1 1 7 73 1009 17341\n")
@@ -507,6 +526,28 @@ def test_verify_linear_cap(capsys):
     code, out, _ = run(["verify", "--n-max", "6", "--m-max", "0", "--linear"], capsys)
     assert code == 0
     assert "ok linear A=[-1,2] n<=5" in out
+
+
+def test_verify_linear_reports_injected_fault(capsys, monkeypatch):
+    linear = cli.enumerate_flats_linear
+
+    def faulty(n, interval):
+        counts = linear(n, interval)
+        if interval == GainInterval(-1, 1) and n == 3:
+            counts[1] += 1
+        return counts
+
+    monkeypatch.setattr(cli, "enumerate_flats_linear", faulty)
+    code, out, _ = run(["verify", "--n-max", "3", "--linear"], capsys)
+    assert code == 1
+    mismatches = [line for line in out.splitlines() if line.startswith("mismatch")]
+    assert mismatches == [
+        "mismatch linear A=[-1,1] n=3 expected={1: 13, 2: 9, 3: 1} got={1: 14, 2: 9, 3: 1}"
+    ]
+    assert "ok linear A=[-1,1]" not in out
+    assert "ok linear A=[0,1] n<=3" in out.splitlines()
+    assert "ok linear A=[-1,2] n<=3" in out.splitlines()
+    assert out.endswith("verification FAILED: 1 mismatch(es)\n")
 
 
 def test_verify_asks_the_gain_oracle_for_the_largest_n_first(capsys, monkeypatch):

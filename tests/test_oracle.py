@@ -40,6 +40,20 @@ def test_interval_validation():
         GainInterval.shi(0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GainInterval.catalan(-1), "m must be nonnegative"),
+        (lambda: enumerate_flats_linear(0, GainInterval(-1, 1)), "n must be positive"),
+    ],
+    ids=["catalan-interval", "linear-oracle"],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_height_function_validation():
     with pytest.raises(ValueError):
         HeightFunction(())
@@ -234,17 +248,13 @@ def test_flats_gain_keeps_no_blocks_of_size_n(monkeypatch):
     assert descending[4][1] == len(blocks)
 
 
-def test_connected_blocks_relabel_the_blocks_of_a_size(monkeypatch):
-    # An interval no other test asks for, so the first call grows its blocks.
+def test_connected_blocks_do_not_depend_on_the_label_values():
+    # Adjacency depends only on the order of the labels, so two label tuples
+    # of one size give the same height vectors in the same order.
     interval = GainInterval(0, 4)
     first = enumerate_connected_blocks((1, 2, 3, 4, 5), interval)
-    # A new label tuple of the same size relabels the kept vectors.
-    monkeypatch.setattr(oracle, "_block_levels", None)
     relabelled = enumerate_connected_blocks((2, 3, 5, 7, 11), interval)
-    monkeypatch.undo()
-    # Growing afresh, with no kept vectors, gives the same blocks.
-    monkeypatch.setattr(oracle, "_sorted_blocks", oracle._sorted_blocks.__wrapped__)
-    assert relabelled == oracle._labelled_blocks.__wrapped__((2, 3, 5, 7, 11), interval)
+    assert [b.items[0][0] for b in relabelled] == [2] * len(first)
     assert [[h for _, h in b.items] for b in relabelled] == [
         [h for _, h in b.items] for b in first
     ]

@@ -73,6 +73,9 @@ def test_other_intervals_match_no_riordan_array(lo, hi):
 CHI_N_MAX = 4
 # Both routes on every interval below, n <= 4; about 0.1 s on a 2-core VM.
 CHI_SECONDS = 1.0
+# Route A by deletion-contraction and route B at n = 5 on the same
+# intervals; about 0.8 s on a 2-core VM.
+CHI_N5_SECONDS = 4.0
 CHI_FAMILIES = [("catalan", m) for m in range(4)] + [("shi", m) for m in range(1, 4)]
 # Intervals on which the two routes are checked against each other only;
 # none but [0, 0], the braid's, has a closed form here.
@@ -82,6 +85,9 @@ CHI_OTHERS = [(0, 2), (-1, 2), (1, 2), (-3, 1), (0, 0), (2, 3)]
 def family_interval(family, m):
     interval = GainInterval.catalan(m) if family == "catalan" else GainInterval.shi(m)
     return interval.lo, interval.hi
+
+
+CHI_INTERVALS = [family_interval(*fm) for fm in CHI_FAMILIES] + CHI_OTHERS
 
 
 def poly_mul(a, b):
@@ -133,7 +139,40 @@ def linear_chromatic_coefficient(r, edges):
     return total
 
 
-def chi_from_blocks(n, lo, hi):
+def is_connected(r, edges):
+    reached = {0}
+    grew = True
+    while grew:
+        grew = False
+        for i, j in edges:
+            if (i in reached) != (j in reached):
+                reached |= {i, j}
+                grew = True
+    return len(reached) == r
+
+
+@lru_cache(maxsize=None)
+def contracted_linear_coefficient(r, edges):
+    """The same coefficient by deletion-contraction, a(G) = a(G - e) - a(G / e)
+    for the last edge e, with a = 1 on one vertex and a = 0 on a
+    disconnected graph; contracting e = (u, v) merges v into u, moves the
+    vertices above v down by one and merges the edges that become parallel."""
+    if r == 1:
+        return 1
+    if not is_connected(r, edges):
+        return 0
+    *rest, (u, v) = edges
+
+    def image(x):
+        return u if x == v else x - (x > v)
+
+    contracted = {tuple(sorted((image(i), image(j)))) for i, j in rest}
+    return contracted_linear_coefficient(r, tuple(rest)) - contracted_linear_coefficient(
+        r - 1, tuple(sorted(contracted))
+    )
+
+
+def chi_from_blocks(n, lo, hi, coefficient=linear_chromatic_coefficient):
     """chi_1, ..., chi_n by Mobius over the gain blocks (ROADMAP route A).
 
     The hyperplanes through a one-block flat are the edges of its gain graph
@@ -149,7 +188,7 @@ def chi_from_blocks(n, lo, hi):
         blocks = enumerate_connected_blocks(range(1, r + 1), GainInterval(lo, hi))
         weights.append(
             sum(
-                linear_chromatic_coefficient(r, gain_graph([h for _, h in b.items], lo, hi))
+                coefficient(r, gain_graph([h for _, h in b.items], lo, hi))
                 for b in blocks
             )
         )
@@ -162,6 +201,14 @@ def chi_from_blocks(n, lo, hi):
                 poly[k + 1] += factor * c
         chis.append(poly)
     return chis[1:]
+
+
+def region_count(family, m, n):
+    # Zaslavsky (1975): the regions number |chi(-1)|; Shi (mn + 1)^(n-1),
+    # Catalan n! C((m + 1) n, n) / (mn + 1).
+    if family == "shi":
+        return (m * n + 1) ** (n - 1)
+    return factorial(n) * comb((m + 1) * n, n) // (m * n + 1)
 
 
 def points_off(n, lo, hi, q):
@@ -221,10 +268,9 @@ def chi_routes():
     """(lo, hi) -> (route A, route B) at n = 1..CHI_N_MAX for every interval
     tested, and the seconds both routes took."""
     start = perf_counter()
-    intervals = [family_interval(*fm) for fm in CHI_FAMILIES] + CHI_OTHERS
     routes = {
         (lo, hi): (chi_from_blocks(CHI_N_MAX, lo, hi), chi_from_points(CHI_N_MAX, lo, hi))
-        for lo, hi in intervals
+        for lo, hi in CHI_INTERVALS
     }
     return routes, perf_counter() - start
 
@@ -244,15 +290,9 @@ def test_chi_routes_match_the_closed_forms(chi_routes, family, m):
 
 @pytest.mark.parametrize("family, m", CHI_FAMILIES)
 def test_chi_routes_give_the_region_counts(chi_routes, family, m):
-    # Zaslavsky (1975): the regions number |chi(-1)|; Shi (mn + 1)^(n-1),
-    # Catalan n! C((m + 1) n, n) / (mn + 1).
     for n in range(1, CHI_N_MAX + 1):
-        if family == "shi":
-            regions = (m * n + 1) ** (n - 1)
-        else:
-            regions = factorial(n) * comb((m + 1) * n, n) // (m * n + 1)
         for chis in chi_routes[0][family_interval(family, m)]:
-            assert abs(poly_at(chis[n - 1], -1)) == regions
+            assert abs(poly_at(chis[n - 1], -1)) == region_count(family, m, n)
 
 
 @pytest.mark.parametrize("lo, hi", CHI_OTHERS)
@@ -262,3 +302,52 @@ def test_chi_routes_agree_off_the_families(chi_routes, lo, hi):
     # Each chi_n is monic of degree n with no constant term.
     for n, chi in enumerate(by_blocks, 1):
         assert len(chi) == n + 1 and chi[-1] == 1 and chi[0] == 0
+
+
+def test_contraction_agrees_with_whitney_on_the_graphs_met():
+    graphs = {
+        (r, gain_graph([h for _, h in b.items], lo, hi))
+        for lo, hi in CHI_INTERVALS
+        for r in range(1, CHI_N_MAX + 1)
+        for b in enumerate_connected_blocks(range(1, r + 1), GainInterval(lo, hi))
+    }
+    # 43 of the 44 connected graphs on at most 4 labelled vertices: these
+    # intervals never give the chordless cycle 1-2-3-4.
+    assert len(graphs) == 43
+    for r, edges in graphs:
+        assert contracted_linear_coefficient(r, edges) == linear_chromatic_coefficient(r, edges)
+
+
+@pytest.fixture(scope="module")
+def chi_routes_n5():
+    """(lo, hi) -> (route A by deletion-contraction, route B) at n = 1..5 for
+    every interval tested, and the seconds both routes took."""
+    start = perf_counter()
+    routes = {
+        (lo, hi): (
+            chi_from_blocks(5, lo, hi, contracted_linear_coefficient),
+            chi_from_points(5, lo, hi),
+        )
+        for lo, hi in CHI_INTERVALS
+    }
+    return routes, perf_counter() - start
+
+
+def test_chi_routes_at_n5_run_within_their_limit(chi_routes_n5):
+    _, seconds = chi_routes_n5
+    assert seconds < CHI_N5_SECONDS, f"both chi routes at n = 5 took {seconds:.2f} s"
+
+
+@pytest.mark.parametrize("family, m", CHI_FAMILIES)
+def test_chi_routes_at_n5_match_the_closed_forms_and_regions(chi_routes_n5, family, m):
+    expected = [closed_chi(family, m, n) for n in range(1, 6)]
+    for chis in chi_routes_n5[0][family_interval(family, m)]:
+        assert chis == expected
+        assert abs(poly_at(chis[4], -1)) == region_count(family, m, 5)
+
+
+@pytest.mark.parametrize("lo, hi", CHI_OTHERS)
+def test_chi_routes_at_n5_agree_off_the_families(chi_routes_n5, lo, hi):
+    by_blocks, by_points = chi_routes_n5[0][(lo, hi)]
+    assert by_blocks == by_points
+    assert len(by_blocks[4]) == 6 and by_blocks[4][-1] == 1 and by_blocks[4][0] == 0

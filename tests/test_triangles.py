@@ -54,6 +54,21 @@ def test_triangle_validation():
         tri.column(3)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: stirling2_matrix(0), "size must be at least 1"),
+        (lambda: shi_triangle(-1), "m must be nonnegative"),
+        (lambda: catalan_triangle(-1), "m must be nonnegative"),
+    ],
+    ids=["stirling2", "shi", "catalan"],
+)
+def test_argument_checks(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_stirling_matrices_match_reference():
     s2 = stirling2_matrix(5)
     s1 = stirling1_matrix(5)
