@@ -342,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="?",
         default=None,
         help=f"species expression; a '^o' exponent or an 'E_' subscript has at most "
-        f"{MAX_EXPONENT_BITS} bits (a 1024-bit exponent takes about 1.5 s at order 12); "
-        "a longer one is an expression error",
+        f"{MAX_EXPONENT_BITS} bits, and a longer one is an expression error",
     )
     ev.add_argument("--file", default=None, help="read expressions from a file, one per line")
     ev.add_argument(
@@ -351,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_ORDER,
         help=f"print a_0..a_ORDER (default {DEFAULT_ORDER}, at most {MAX_ORDER}); "
-        "'E o L+^o3 o E+' takes 0.4 s at order 300, 4 s at 600, 30 s at 1000 and 7.4 min "
-        "at 2000",
+        "the time grows steeply with ORDER",
     )
 
     orc = sub.add_parser("oracle", help="brute-force flat counts (small n)")
@@ -362,8 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help="ambient dimension; n = 7 takes 2 s at catalan -m 2 and 6.5-7.5 s at shi -m 3, "
-        "n = 6 with --method linear 0.5-0.7 s at catalan -m 1",
+        help="ambient dimension; practical up to n = 7, and n = 6 with --method linear",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 

@@ -49,6 +49,8 @@ class GainInterval(Record):
     hi: int
 
     def __post_init__(self):
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+            raise ValueError(f"interval bounds must be integers, got {self.lo!r} and {self.hi!r}")
         if self.lo > self.hi:
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
@@ -82,7 +84,7 @@ class HeightFunction(Record):
     from _PAIRS, so equal pairs are one object. A height function on a
     block describes a candidate flat fragment x_u + h(u) = x_v + h(v); it is
     one flat of the arrangement restricted to the block exactly when the
-    induced gain graph is connected (see is_connected_block).
+    induced gain graph is connected.
     """
 
     __slots__ = ("items",)
@@ -111,33 +113,6 @@ class HeightFunction(Record):
         if not all(map(isinstance, heights, repeat(int))) or min(heights) != 0:
             raise ValueError("heights must be nonnegative integers with minimum 0")
         object.__setattr__(self, "items", tuple(pairs))
-
-
-def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
-    """Whether the gain graph induced by the heights on the block is connected.
-
-    Labels u < v are adjacent exactly when height(v) - height(u) lies in the
-    interval; for asymmetric intervals (the Shi case) the label order matters.
-    """
-    # Breadth-first reachability over the positions in label order.
-    heights = [h for _, h in block.items]
-    r = len(heights)
-    lo, hi = interval.lo, interval.hi
-    seen = [False] * r
-    seen[0] = True
-    queue = [0]
-    count = 1
-    while queue:
-        i = queue.pop()
-        hi_i = heights[i]
-        for j in range(r):
-            if not seen[j]:
-                diff = heights[j] - hi_i if i < j else hi_i - heights[j]
-                if lo <= diff <= hi:
-                    seen[j] = True
-                    count += 1
-                    queue.append(j)
-    return count == r
 
 
 def _field_width(size: int, interval: GainInterval) -> int:

@@ -29,11 +29,12 @@ and uses these. All values are exact integers.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from math import factorial
 from operator import add, mul
 
 from .record import Record
-from .triangles import DEFAULT_ORDER, Triangle
+from .triangles import DEFAULT_ORDER, Triangle, binary_power
 
 
 class CompositionConstantTerm(ValueError):
@@ -77,17 +78,13 @@ class CountSeq(Record):
         the outer species has one).
         """
         _same_order(self, inner)
-        if inner.coeffs[0] != 0:
-            raise CompositionConstantTerm("inner sequence of a composition must have a_0 = 0")
-        return CountSeq(_substitute(self.coeffs, _bell_table(self.order, inner.coeffs)))
+        return CountSeq(_substitute(self.coeffs, _bell_table(self.order, _inner_coeffs(inner))))
 
     def iterate(self, times: int) -> "CountSeq":
         """times-fold self-composition; 0 gives the singleton species.
 
-        Uses binary powering of composition: the Bell table of the current
-        power self^(o 2^bit) is built at most once per bit of times and
-        serves both to square that power and to compose it onto the running
-        result, so the cost grows with log(times).
+        By binary_power; the Bell table of each power self^(o 2^bit) is built
+        once and serves both the result update and the squaring at that bit.
         """
         if times < 0:
             raise ValueError("iteration count must be nonnegative")
@@ -95,21 +92,10 @@ class CountSeq(Record):
             raise CompositionConstantTerm("iterated sequence must have a_0 = 0")
         if times == 0:
             return seq_k_set(self.order, 1)
-        power, result = self.coeffs, None
-        while True:
-            table = None
-            if times & 1:
-                if result is None:
-                    result = power
-                else:
-                    table = _bell_table(self.order, power)
-                    result = _substitute(result, table)
-            times >>= 1
-            if not times:
-                return CountSeq(result)
-            if table is None:
-                table = _bell_table(self.order, power)
-            power = _substitute(power, table)
+        table = lru_cache(maxsize=1)(partial(_bell_table, self.order))
+        return CountSeq(
+            binary_power(self.coeffs, times, lambda outer, inner: _substitute(outer, table(inner)))
+        )
 
 
 def _same_order(a: CountSeq, b: CountSeq):
@@ -211,7 +197,7 @@ def compose_cycles(inner: CountSeq) -> CountSeq:
 
 
 def compose_k_set(k: int, inner: CountSeq) -> CountSeq:
-    """E_k o inner = inner^k / k!, by binary powering of the EGF product;
+    """E_k o inner = inner^k / k!, by binary_power over the EGF product;
     zero at once when k exceeds the order."""
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -220,16 +206,8 @@ def compose_k_set(k: int, inner: CountSeq) -> CountSeq:
         return CountSeq((0,) * len(g))
     if k == 0:
         return seq_k_set(inner.order, 0)
-    power, result, times = g, None, k
-    while True:
-        if times & 1:
-            result = power if result is None else _product(result, power)
-        times >>= 1
-        if not times:
-            break
-        power = _product(power, power)
     scale = factorial(k)
-    return CountSeq(tuple(c // scale for c in result))
+    return CountSeq(tuple(c // scale for c in binary_power(g, k, _product)))
 
 
 def _bell_table(order, z):

@@ -159,26 +159,32 @@ def mat_mul(a: Triangle, b: Triangle) -> Triangle:
     return Triangle(tuple(rows))
 
 
-def mat_pow(a: Triangle, exponent: int) -> Triangle:
-    """exponent-fold product of a with itself; exponent 0 gives the identity.
+def binary_power(base, exponent: int, multiply):
+    """exponent-fold product of base under multiply, for exponent >= 1.
 
-    Uses binary powering: exponent.bit_length() - 1 squarings and one product
-    for each set bit after the first, so the cost grows with log(exponent).
-    The running result starts at the power of a for the lowest set bit, not
-    at the identity, which would hold one more triangle in memory.
+    Makes exponent.bit_length() - 1 squarings and one product per set bit
+    after the lowest, so the cost grows with log(exponent). The result starts
+    at the power of the lowest set bit, not at an identity. A bit's product
+    multiply(result, power) precedes its squaring, so work cached on power
+    serves both.
     """
+    power, result = base, None  # power is base ** (2 ** bit)
+    while True:
+        if exponent & 1:
+            result = power if result is None else multiply(result, power)
+        exponent >>= 1
+        if not exponent:
+            return result
+        power = multiply(power, power)
+
+
+def mat_pow(a: Triangle, exponent: int) -> Triangle:
+    """exponent-fold product of a with itself by binary_power; 0 gives the identity."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
     if exponent == 0:
         return identity_triangle(a.size)
-    power, result = a, None  # power is a ** (2 ** bit)
-    while True:
-        if exponent & 1:
-            result = power if result is None else mat_mul(result, power)
-        exponent >>= 1
-        if not exponent:
-            return result
-        power = mat_mul(power, power)
+    return binary_power(a, exponent, mat_mul)
 
 
 def lah_matrix(size: int = DEFAULT_ORDER) -> Triangle:
@@ -202,9 +208,7 @@ def catalan_triangle(m: int, size: int = DEFAULT_ORDER) -> Triangle:
 
     m = 0 gives the braid arrangement, i.e. the Stirling-2 matrix.
     """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    return mat_mul(mat_pow(lah_matrix(size), m), stirling2_matrix(size))
+    return mat_mul(shi_triangle(m, size), stirling2_matrix(size))
 
 
 def lah_power_closed(m: int, size: int = DEFAULT_ORDER) -> Triangle:

@@ -20,6 +20,9 @@ from flatcount.oracle import GainInterval
 from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "flatcount"
+
 
 def run(argv, capsys):
     try:
@@ -322,6 +325,10 @@ def test_table_argument_errors(capsys):
     assert run(
         ["table", "shi", "-m", "1", "--mode", "by-dimension", "--format", "bfile"], capsys
     )[0] == 2
+    for flag, text in (("-n", "x"), ("-n", "1:"), ("-m", "1:a")):
+        code, out, err = run(["table", "shi", flag, text], capsys)
+        assert (code, out) == (2, "")
+        assert f"error: bad {flag[1]} range '{text}': use N or LO:HI" in err
 
 
 def test_output_deterministic(capsys):
@@ -651,7 +658,7 @@ def test_benchmark_finds_its_targets():
     # bench/tracer.py wraps flatcount functions by name and bench/checks.py
     # calls these cli names; a renamed target would make a per-layer metric
     # read 0 instead of failing.
-    bench = Path(__file__).resolve().parents[1] / "bench"
+    bench = ROOT / "bench"
     proc = subprocess.run(
         [sys.executable, "-c", _BENCH_CONTRACT, str(bench)],
         capture_output=True,
@@ -662,7 +669,7 @@ def test_benchmark_finds_its_targets():
 
 
 def _bench_tree(name):
-    path = Path(__file__).resolve().parents[1] / "bench" / name
+    path = ROOT / "bench" / name
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
@@ -715,32 +722,59 @@ def test_benchmark_names_resolve():
     assert [f"{m}.{a}" for m, a in names if not _resolves(m, a)] == []
 
 
-def test_package_exports_are_used():
-    # An export earns its place when the library itself, the README or the
-    # benchmark uses it: one that only tests call belongs in the tests.
-    root = Path(__file__).resolve().parents[1]
-    package = root / "src" / "flatcount"
-    exported = [
-        alias.name
-        for node in ast.parse((package / "__init__.py").read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+def _names_used(*docs):
+    """Names that the package's modules, __init__ aside, read, plus every
+    word of the given files."""
     used = set()
-    for path in package.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     used.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     used.add(node.attr)
-    docs = [root / "README.md"] + [
-        path for path in sorted((root / "bench").iterdir()) if path.suffix in (".py", ".md")
-    ]
     for path in docs:
         used.update(re.findall(r"\w+", path.read_text(encoding="utf-8")))
+    return used
+
+
+def _readme_and_bench():
+    return [ROOT / "README.md"] + [
+        path for path in sorted((ROOT / "bench").iterdir()) if path.suffix in (".py", ".md")
+    ]
+
+
+def test_package_exports_are_used():
+    # An export earns its place when the library itself, the README or the
+    # benchmark uses it: one that only tests call belongs in the tests.
+    exported = [
+        alias.name
+        for node in ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    used = _names_used(*_readme_and_bench())
     assert len(exported) > 30
     assert [name for name in exported if name not in used] == []
+
+
+def test_public_names_are_used():
+    # The same rule for every public module-level function, class and
+    # constant, exported or not; pyproject.toml may name an entry point.
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined += [f"{path.stem}.{name}" for name in names if not name.startswith("_")]
+    used = _names_used(*_readme_and_bench(), ROOT / "pyproject.toml")
+    assert len(defined) > 60
+    assert [name for name in defined if name.split(".")[1] not in used] == []
 
 
 def test_families_table():

@@ -18,7 +18,6 @@ from flatcount.oracle import (
     enumerate_connected_blocks,
     enumerate_flats_gain,
     enumerate_flats_linear,
-    is_connected_block,
     _meet,
     _meet_plan,
 )
@@ -30,6 +29,34 @@ def hf(mapping):
     return HeightFunction(tuple(sorted(mapping.items())))
 
 
+def is_connected_block(block: HeightFunction, interval: GainInterval) -> bool:
+    """Whether the gain graph induced by the heights on the block is connected:
+    the grid-scan reference for the blocks that the oracle grows.
+
+    Labels u < v are adjacent exactly when height(v) - height(u) lies in the
+    interval; for asymmetric intervals (the Shi case) the label order matters.
+    """
+    # Breadth-first reachability over the positions in label order.
+    heights = [h for _, h in block.items]
+    r = len(heights)
+    lo, hi = interval.lo, interval.hi
+    seen = [False] * r
+    seen[0] = True
+    queue = [0]
+    count = 1
+    while queue:
+        i = queue.pop()
+        hi_i = heights[i]
+        for j in range(r):
+            if not seen[j]:
+                diff = heights[j] - hi_i if i < j else hi_i - heights[j]
+                if lo <= diff <= hi:
+                    seen[j] = True
+                    count += 1
+                    queue.append(j)
+    return count == r
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         GainInterval(2, 1)
@@ -38,6 +65,7 @@ def test_interval_validation():
     assert GainInterval.catalan(0) == GainInterval(0, 0)
     with pytest.raises(ValueError):
         GainInterval.shi(0)
+    assert GainInterval(False, True) == GainInterval(0, 1)  # bools are ints
 
 
 @pytest.mark.parametrize(

@@ -76,6 +76,7 @@ INVALID = [
     (HeightFunction, (((2, 0), (1, 1)),), "labels must be distinct and sorted"),
     (HeightFunction, (((1, 0), (1, 1)),), "labels must be distinct and sorted"),
     (HeightFunction, (((1, 1), (2, 1)),), "heights must be nonnegative integers with minimum 0"),
+    (GainInterval, (-1, 1.0), "interval bounds must be integers, got -1 and 1.0"),
 ]
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flatcount import species, triangles
 from flatcount.enumeration import set_partitions
 from flatcount.species import (
     CompositionConstantTerm,
@@ -138,6 +139,37 @@ def test_iterate_matches_compose_fold(f):
     for m in range(12):
         assert f.iterate(m) == fold, m
         fold = fold.compose(f)
+
+
+def _counting(monkeypatch, module, name, stub=None):
+    """Replace module.name by a wrapper that counts its calls and then calls
+    stub, or the original when stub is None."""
+    calls = []
+    target = stub or getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(None) or target(*args))
+    return calls
+
+
+def test_binary_power_cost(monkeypatch):
+    # mat_pow, compose_k_set and iterate share binary_power: bit_length - 1
+    # squarings and one product per set bit after the lowest, and iterate
+    # builds one Bell table per squaring plus one when a second bit is set.
+    lah, f = triangles.lah_matrix(2), seq_lists_nonempty(2)
+    mat_calls = _counting(monkeypatch, triangles, "mat_mul")
+    # compose_k_set returns zero past the inner order, so the inner has order
+    # k; a stub product that returns its first factor and a stub factorial
+    # keep k = 2**20 cheap (factorial(2**20) alone takes seconds).
+    product_calls = _counting(monkeypatch, species, "_product", lambda a, b: a)
+    monkeypatch.setattr(species, "factorial", lambda k: 1)
+    bell_calls = _counting(monkeypatch, species, "_bell_table")
+    for e in [*range(1, 70), 2**20, 2**20 - 1, 12345]:
+        products = (e.bit_length() - 1) + (e.bit_count() - 1)
+        del mat_calls[:], product_calls[:], bell_calls[:]
+        assert triangles.mat_pow(lah, e).entry(1, 2) == 2 * e
+        compose_k_set(e, seq_k_set(e, 1))
+        assert f.iterate(e) == CountSeq((0, 1, 2 * e))
+        assert (len(mat_calls), len(product_calls)) == (products, products), e
+        assert len(bell_calls) == (e.bit_length() - 1) + (e.bit_count() >= 2), e
 
 
 def _partial_bell_reference(n: int, k: int, z) -> int:
