@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 All numeric output is exact decimal. `count`, `table`, `oracle` and `verify`
 print numbers of any length; `eval` refuses a coefficient of more than
 MAX_DIGITS digits, and a `^o` power whose a_1 passes dsl.MAX_ITERATE_BITS
-bits (exit 3). `count` and `table` refuse an n above MAX_ORDER, and
-`table` an m range of more than MAX_ORDER values (exit 2).
+bits (exit 3). `count`, `table`, `oracle` and `verify` refuse an n above
+MAX_ORDER, `table` an m range of more than MAX_ORDER values, and `verify`
+an --m-max above it (exit 2). `oracle` and `verify` also refuse a run
+whose predicted work passes MAX_GAIN_WORK or MAX_LINEAR_FLATS (exit 2).
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ MAX_ORDER = 2000
 # evaluating them takes 0.75 s.
 MAX_DIGITS = 100_000
 _MAX_BITS = ceil(MAX_DIGITS * log2(10))
+# The most work `oracle` and `verify` start, predicted by _oracle_work: for
+# the gain-graph oracle its blocks, set partitions and reach-mask words, for
+# the linear oracle its flats. Near the bounds, `oracle catalan -m 3 -n 7`
+# (9,340,105 units) takes 16 s and 600 MB, and `oracle braid -n 9 --method
+# linear` (21,147 flats) 10 s and 24 MB on a 2-core VM. The largest
+# documented commands, `verify --n-max 7` and `oracle shi -m 2 -n 6
+# --method linear`, predict 5,492,495 units and 62,701 flats.
+MAX_GAIN_WORK = 10**7
+MAX_LINEAR_FLATS = 10**5
 
 
 class Family(Record):
@@ -94,6 +105,51 @@ def formula_triangle(family: str, m: int, size: int) -> Iterator[tuple[int, ...]
     return riordan_columns(m, m + FAMILIES[family].q_shift, size)
 
 
+def _oracle_work(method: str, family: str, m: int, n: int) -> Iterator[int]:
+    """Lower bounds of the work of one oracle run on the family's
+    n-dimensional arrangement, one for each r = 1..n, rising to the exact
+    prediction: for the linear method the flats of dimension r's
+    arrangement; for the gain method the blocks of sizes 1..r plus the
+    Bell(r) set partitions of r labels, plus the 64-bit words of the reach
+    masks that _block_levels builds first, two lists of about h masks of
+    about h bits for the h = (n - 1) * max(|lo|, |hi|) + 1 heights a block
+    on n labels can reach.
+    """
+    columns = formula_triangle(family, m, n)
+    if method == "linear":
+        yield from map(sum, columns)
+        return
+    interval = FAMILIES[family].interval(m)
+    heights = (n - 1) * max(abs(interval.lo), abs(interval.hi)) + 1
+    work = heights * heights // 32
+    for column, partitions in zip(columns, formula_triangle("braid", 0, n)):
+        work += column[0]  # the T(r, 1) connected blocks on r labels
+        yield work + sum(partitions)
+
+
+def _check_work(runs, parser) -> None:
+    """Refuse, before any of them starts, oracle runs (method, family, m, n)
+    whose predicted work passes MAX_GAIN_WORK or MAX_LINEAR_FLATS in sum.
+    The sum stops as soon as it passes, so a long list is refused at once,
+    and a large n before its columns are built.
+
+    The formula only decides whether a run starts: the counts still come
+    from the oracles' own code, so a wrong formula could refuse a run but
+    never pass a wrong count.
+    """
+    bounds = {
+        "gaingraph": (MAX_GAIN_WORK, "blocks, set partitions and mask words"),
+        "linear": (MAX_LINEAR_FLATS, "flats"),
+    }
+    spent = dict.fromkeys(bounds, 0)
+    for method, family, m, n in runs:
+        bound, units = bounds[method]
+        for work in _oracle_work(method, family, m, n):
+            if spent[method] + work > bound:
+                parser.error(f"the {method} oracle would go through more than {bound} {units}")
+        spent[method] += work
+
+
 def _parse_range(text: str, what: str, parser) -> range:
     try:
         if ":" in text:
@@ -122,7 +178,7 @@ def _check_family_m(family: str, m, parser) -> int:
 
 
 def _check_n(least: int, most: int, parser) -> None:
-    """Refuse the n of `count` or `table` outside 1..MAX_ORDER."""
+    """Refuse the n of `count`, `table` or `oracle` outside 1..MAX_ORDER."""
     if least < 1:
         parser.error("n must be positive")
     if most > MAX_ORDER:
@@ -240,8 +296,8 @@ def cmd_eval(args, parser) -> int:
 
 def cmd_oracle(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
-    if args.n < 1:
-        parser.error("n must be positive")
+    _check_n(args.n, args.n, parser)
+    _check_work([(args.method, args.family, m, args.n)], parser)
     interval = FAMILIES[args.family].interval(m)
     if args.method == "linear":
         counts = enumerate_flats_linear(args.n, interval)
@@ -251,16 +307,33 @@ def cmd_oracle(args, parser) -> int:
     return 0
 
 
+# The intervals, as (family, m), whose linear oracle `verify --linear` checks.
+_LINEAR_PLANS = (("catalan", 1), ("shi", 1), ("shi", 2))
+
+
 def cmd_verify(args, parser) -> int:
     if args.n_max < 1:
         parser.error("--n-max must be positive")
     if args.m_max is not None and args.m_max < 0:
         parser.error("--m-max must be nonnegative")
+    if max(args.n_max, args.m_max or 0) > MAX_ORDER:
+        parser.error(f"--n-max and --m-max must be at most {MAX_ORDER}")
     plans = []
     for name, family in FAMILIES.items():
         if family.verify_m_max is not None:
             m_max = family.verify_m_max if args.m_max is None else args.m_max
             plans += [(name, m) for m in range(family.m_min, m_max + 1)]
+    n_linear = min(LINEAR_N_MAX, args.n_max)
+    linear_plans = _LINEAR_PLANS if args.linear else ()
+    # Each family and m is one gain run at n_max: the smaller n grow no
+    # block again and visit fewer set partitions than n_max does.
+    runs = [("gaingraph", family, m, args.n_max) for family, m in plans]
+    runs += [
+        (method, family, m, n_linear)
+        for family, m in linear_plans
+        for method in ("gaingraph", "linear")
+    ]
+    _check_work(runs, parser)
     mismatches = 0
     for family, m in plans:
         interval = FAMILIES[family].interval(m)
@@ -280,23 +353,21 @@ def cmd_verify(args, parser) -> int:
                     family_ok = False
         if family_ok:
             print(f"ok {family} m={m} n<={args.n_max}")
-    if args.linear:
-        n_linear = min(LINEAR_N_MAX, args.n_max)
-        catalan, shi = FAMILIES["catalan"].interval, FAMILIES["shi"].interval
-        for interval in (catalan(1), shi(1), shi(2)):
-            interval_ok = True
-            for n in range(1, n_linear + 1):
-                from_rows = enumerate_flats_linear(n, interval)
-                from_heights = enumerate_flats_gain(n, interval)
-                if from_rows != from_heights:
-                    print(
-                        f"mismatch linear A={interval} n={n} "
-                        f"expected={from_heights} got={from_rows}"
-                    )
-                    mismatches += 1
-                    interval_ok = False
-            if interval_ok:
-                print(f"ok linear A={interval} n<={n_linear}")
+    for family, m in linear_plans:
+        interval = FAMILIES[family].interval(m)
+        interval_ok = True
+        for n in range(1, n_linear + 1):
+            from_rows = enumerate_flats_linear(n, interval)
+            from_heights = enumerate_flats_gain(n, interval)
+            if from_rows != from_heights:
+                print(
+                    f"mismatch linear A={interval} n={n} "
+                    f"expected={from_heights} got={from_rows}"
+                )
+                mismatches += 1
+                interval_ok = False
+        if interval_ok:
+            print(f"ok linear A={interval} n<={n_linear}")
     if mismatches:
         print(f"verification FAILED: {mismatches} mismatch(es)")
         return 1
@@ -360,18 +431,22 @@ def build_parser() -> argparse.ArgumentParser:
         "-n",
         type=int,
         required=True,
-        help="ambient dimension; practical up to n = 7, and n = 6 with --method linear",
+        help="ambient dimension; practical up to n = 7, and n = 6 with --method linear; "
+        f"a run predicted to pass {MAX_GAIN_WORK} blocks, set partitions and mask words, "
+        f"or {MAX_LINEAR_FLATS} flats, is refused",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 
     ver = sub.add_parser("verify", help="formulas vs oracles")
-    ver.add_argument("--n-max", type=int, default=5)
+    ver.add_argument("--n-max", type=int, default=5, help=f"default 5, at most {MAX_ORDER}")
     m_max_defaults = ", ".join(
         f"{name} {family.verify_m_max}"
         for name, family in FAMILIES.items()
         if family.verify_m_max is not None
     )
-    ver.add_argument("--m-max", type=int, default=None, help=f"default: {m_max_defaults}")
+    ver.add_argument(
+        "--m-max", type=int, default=None, help=f"default: {m_max_defaults}; at most {MAX_ORDER}"
+    )
     ver.add_argument(
         "--linear",
         action="store_true",

@@ -8,8 +8,9 @@ any size is exact because no discarded entry can reach a kept one.
 
 The two generators are the Stirling matrices: entry (k, n) of
 stirling2_matrix is S(n, k) and of stirling1_matrix is c(n, k), unsigned.
-Their product lah_matrix holds the Lah numbers, and the flat counts of the
-extended arrangements are matrix words in these:
+Their product S c is the Lah matrix, which lah_matrix builds from the Lah
+numbers' own recurrence (the tests check the factorization), and the flat
+counts of the extended arrangements are matrix words in these:
 
     shi_triangle(m)     = lah_matrix ** m
     catalan_triangle(m) = lah_matrix ** m  @  stirling2_matrix
@@ -99,7 +100,8 @@ def identity_triangle(size: int) -> Triangle:
 
 def _stirling_recurrence(size, weight) -> Triangle:
     """Entry (k, n) = T(n, k), where T(0, 0) = 1, T(n, 0) = 0 for n > 0 and
-    T(n, k) = T(n-1, k-1) + weight(n, k) * T(n-1, k)."""
+    T(n, k) = T(n-1, k-1) + weight(n, k) * T(n-1, k): weight k gives S,
+    n - 1 gives c and n + k - 1 the Lah numbers, each in O(size^2)."""
     if size < 1:
         raise ValueError("size must be at least 1")
     table = [[0] * (size + 1) for _ in range(size + 1)]
@@ -188,8 +190,10 @@ def mat_pow(a: Triangle, exponent: int) -> Triangle:
 
 
 def lah_matrix(size: int = DEFAULT_ORDER) -> Triangle:
-    """Entry (k, n) = Lah(n, k), via the Stirling factorization S * c."""
-    return mat_mul(stirling2_matrix(size), stirling1_matrix(size))
+    """Entry (k, n) = Lah(n, k), the number of partitions of [n] into k
+    nonempty linearly ordered blocks, by its recurrence with weight n + k - 1.
+    It equals the Stirling product S c, which the tests check."""
+    return _stirling_recurrence(size, lambda n, k: n + k - 1)
 
 
 def shi_triangle(m: int, size: int = DEFAULT_ORDER) -> Triangle:
@@ -217,6 +221,8 @@ def lah_power_closed(m: int, size: int = DEFAULT_ORDER) -> Triangle:
     flats of the n-dimensional m-extended Shi arrangement."""
     if m < 1:
         raise ValueError("m must be positive")
+    if size < 1:
+        raise ValueError("size must be at least 1")
     f = list(accumulate(range(1, size + 1), mul, initial=1))  # 0!..size!
     return _build(
         size, lambda k, n: m ** (n - k) * (f[n] * f[n - 1] // (f[k] * f[k - 1] * f[n - k]))

@@ -607,6 +607,64 @@ def test_verify_rejects_negative_m_max(capsys):
     assert "verification passed" not in out
 
 
+_GAIN_REFUSAL = (
+    f"the gaingraph oracle would go through more than {cli.MAX_GAIN_WORK} "
+    "blocks, set partitions and mask words"
+)
+_LINEAR_REFUSAL = f"the linear oracle would go through more than {cli.MAX_LINEAR_FLATS} flats"
+_MAX = cli.MAX_ORDER
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("oracle catalan -m 1000000000 -n 3", _GAIN_REFUSAL),
+        ("oracle catalan -m 100000 -n 4", _GAIN_REFUSAL),
+        ("oracle catalan -m 100000 -n 2", _GAIN_REFUSAL),  # the reach masks alone
+        ("oracle shi -m 3 -n 12", _GAIN_REFUSAL),
+        ("oracle braid -n 20", _GAIN_REFUSAL),
+        ("oracle catalan -m 1000000000 -n 3 --method linear", _LINEAR_REFUSAL),
+        ("oracle braid -n 14 --method linear", _LINEAR_REFUSAL),
+        ("oracle braid -n 1000000000", f"n must be at most {_MAX}"),
+        ("verify --m-max 2000 --n-max 2", _GAIN_REFUSAL),
+        ("verify --n-max 12", _GAIN_REFUSAL),
+        ("verify --m-max 100000 --n-max 2", f"--n-max and --m-max must be at most {_MAX}"),
+    ],
+)
+def test_oracle_and_verify_refuse_work_they_cannot_finish(argv, message):
+    # Each of these ran out of memory (exit 4) or ran on for minutes before
+    # the work was predicted from the formula.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (2, "")
+    usage, error = proc.stderr.splitlines()
+    assert usage.startswith("usage: flatcount ")
+    assert error == f"flatcount: error: {message}"
+
+
+def test_documented_oracle_runs_are_within_the_bounds(capsys, monkeypatch):
+    # The largest commands that the README and the help texts name pass the
+    # check. Stub oracles stand in for the counts, so verify reports their
+    # empty counts as mismatches: exit 1, not the refusal's 2.
+    monkeypatch.setattr(cli, "enumerate_flats_gain", lambda n, interval: {})
+    monkeypatch.setattr(cli, "enumerate_flats_linear", lambda n, interval: {})
+    for argv in (
+        "oracle catalan -m 2 -n 7",
+        "oracle shi -m 3 -n 7",
+        "oracle shi -m 2 -n 6 --method linear",
+        "oracle catalan -m 1 -n 6 --method linear",
+    ):
+        assert run(argv.split(), capsys)[0] == 0, argv
+    code, out, _ = run(["verify", "--n-max", "7", "--linear"], capsys)
+    assert code == 1 and "mismatch" in out
+
+
 @pytest.mark.parametrize(
     "expr",
     [

@@ -1,5 +1,6 @@
 import pytest
 
+from flatcount import triangles
 from flatcount.species import (
     bell_transform,
     seq_cycles_nonempty,
@@ -60,8 +61,11 @@ def test_triangle_validation():
         (lambda: stirling2_matrix(0), "size must be at least 1"),
         (lambda: shi_triangle(-1), "m must be nonnegative"),
         (lambda: catalan_triangle(-1), "m must be nonnegative"),
+        (lambda: lah_matrix(0), "size must be at least 1"),
+        (lambda: lah_power_closed(1, 0), "size must be at least 1"),
+        (lambda: lah_power_closed(1, -3), "size must be at least 1"),
     ],
-    ids=["stirling2", "shi", "catalan"],
+    ids=["stirling2", "shi", "catalan", "lah", "lah-closed-0", "lah-closed-negative"],
 )
 def test_argument_checks(call, message):
     with pytest.raises(ValueError) as err:
@@ -90,6 +94,31 @@ def test_mat_mul_gives_lah():
     assert mat_mul(sc, ident) == sc
     with pytest.raises(ValueError):
         mat_mul(sc, identity_triangle(4))
+
+
+def test_stirling_product_is_lah_matrix():
+    # lah_matrix comes from its own recurrence; the Stirling factorization
+    # S c = L checks it, and truncation is exact, so size 150 covers every
+    # smaller size.
+    assert mat_mul(stirling2_matrix(150), stirling1_matrix(150)) == lah_matrix(150)
+
+
+def test_words_cost(monkeypatch):
+    # lah_matrix multiplies nothing, shi_triangle is mat_pow's binary powering
+    # alone, and catalan_triangle adds one product by S.
+    calls = []
+    product = triangles.mat_mul
+    monkeypatch.setattr(triangles, "mat_mul", lambda a, b: calls.append(None) or product(a, b))
+    triangles.lah_matrix(6)
+    assert calls == []
+    for m in [*range(1, 41), 12345]:
+        products = (m.bit_length() - 1) + (m.bit_count() - 1)
+        del calls[:]
+        triangles.shi_triangle(m, 6)
+        assert len(calls) == products, m
+        del calls[:]
+        triangles.catalan_triangle(m, 6)
+        assert len(calls) == products + 1, m
 
 
 def test_mat_mul_matches_bell_transform_composition():
