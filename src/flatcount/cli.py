@@ -14,9 +14,11 @@ All numeric output is exact decimal. `count`, `table`, `oracle` and `verify`
 print numbers of any length; `eval` refuses a coefficient of more than
 MAX_DIGITS digits, and a `^o` power whose a_1 passes dsl.MAX_ITERATE_BITS
 bits (exit 3). `count`, `table`, `oracle` and `verify` refuse an n above
-MAX_ORDER, `table` an m range of more than MAX_ORDER values, and `verify`
-an --m-max above it (exit 2). `oracle` and `verify` also refuse a run
-whose predicted work passes MAX_GAIN_WORK or MAX_LINEAR_FLATS (exit 2).
+MAX_ORDER, `table` an m range of more than MAX_ORDER values or more than
+MAX_TABLE_CELLS triangle cells, and `verify` an --m-max above MAX_ORDER
+(exit 2). `oracle` and `verify` also refuse a run whose predicted blocks
+and set partitions pass MAX_GAIN_WORK, or flats pass MAX_LINEAR_FLATS
+(exit 2).
 """
 
 from __future__ import annotations
@@ -47,8 +49,14 @@ LINEAR_N_MAX = 5
 # conversion: 1800! has 5080. The columns of `count` and `table` cost about
 # 6x per doubling of n: `count catalan -m 2 -n 2000` takes about 6 s. A
 # table builds one triangle per m: `table catalan -m 1:2000 -n 1:50` takes
-# about 1.2 s.
+# about 1 s.
 MAX_ORDER = 2000
+# The most triangle cells one `table` builds: len(m values) * n(n + 1)/2 for
+# its largest n. Each m builds its own triangle, so the m and n bounds alone
+# admit 2000 triangles of size 2000, over an hour of work. Near the bound,
+# `table shi -m 1:200 -n 1:300` (9,030,000 cells) takes about 6 s and
+# `table catalan -m 1:4 -n 2000` (8,004,000 cells) about 12 s.
+MAX_TABLE_CELLS = 10**7
 # `eval` prints no coefficient of more bits than 10^MAX_DIGITS has, so every
 # coefficient it refuses has more than MAX_DIGITS digits. CPython 3.11
 # converts an int to decimal in quadratic time, 0.17 s for 10^5 digits and
@@ -58,12 +66,12 @@ MAX_ORDER = 2000
 MAX_DIGITS = 100_000
 _MAX_BITS = ceil(MAX_DIGITS * log2(10))
 # The most work `oracle` and `verify` start, predicted by _oracle_work: for
-# the gain-graph oracle its blocks, set partitions and reach-mask words, for
-# the linear oracle its flats. Near the bounds, `oracle catalan -m 3 -n 7`
-# (9,340,105 units) takes 16 s and 600 MB, and `oracle braid -n 9 --method
-# linear` (21,147 flats) 10 s and 24 MB on a 2-core VM. The largest
-# documented commands, `verify --n-max 7` and `oracle shi -m 2 -n 6
-# --method linear`, predict 5,492,495 units and 62,701 flats.
+# the gain-graph oracle its blocks and set partitions, for the linear oracle
+# its flats. Near the bounds, `oracle catalan -m 3 -n 7` (9,340,094 units)
+# takes 11-16 s and 600 MB, and `oracle braid -n 9 --method linear` (21,147
+# flats) 10 s and 24 MB on a 2-core VM. The largest documented commands,
+# `verify --n-max 7` and `oracle shi -m 2 -n 6 --method linear`, predict
+# 5,492,472 units and 62,701 flats.
 MAX_GAIN_WORK = 10**7
 MAX_LINEAR_FLATS = 10**5
 
@@ -110,18 +118,13 @@ def _oracle_work(method: str, family: str, m: int, n: int) -> Iterator[int]:
     n-dimensional arrangement, one for each r = 1..n, rising to the exact
     prediction: for the linear method the flats of dimension r's
     arrangement; for the gain method the blocks of sizes 1..r plus the
-    Bell(r) set partitions of r labels, plus the 64-bit words of the reach
-    masks that _block_levels builds first, two lists of about h masks of
-    about h bits for the h = (n - 1) * max(|lo|, |hi|) + 1 heights a block
-    on n labels can reach.
+    Bell(r) set partitions of r labels.
     """
     columns = formula_triangle(family, m, n)
     if method == "linear":
         yield from map(sum, columns)
         return
-    interval = FAMILIES[family].interval(m)
-    heights = (n - 1) * max(abs(interval.lo), abs(interval.hi)) + 1
-    work = heights * heights // 32
+    work = 0
     for column, partitions in zip(columns, formula_triangle("braid", 0, n)):
         work += column[0]  # the T(r, 1) connected blocks on r labels
         yield work + sum(partitions)
@@ -138,7 +141,7 @@ def _check_work(runs, parser) -> None:
     never pass a wrong count.
     """
     bounds = {
-        "gaingraph": (MAX_GAIN_WORK, "blocks, set partitions and mask words"),
+        "gaingraph": (MAX_GAIN_WORK, "blocks and set partitions"),
         "linear": (MAX_LINEAR_FLATS, "flats"),
     }
     spent = dict.fromkeys(bounds, 0)
@@ -247,6 +250,8 @@ def cmd_table(args, parser) -> int:
         m_values = tuple(m_range)
     n_values = _parse_range(args.n, "n", parser)
     _check_n(n_values[0], n_values[-1], parser)
+    if len(m_values) * n_values[-1] * (n_values[-1] + 1) // 2 > MAX_TABLE_CELLS:
+        parser.error(f"a table builds at most {MAX_TABLE_CELLS} triangle cells")
     n_values = tuple(n_values)
     if args.mode == "by-dimension" and len(m_values) != 1:
         parser.error("by-dimension tables need a single m")
@@ -395,10 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument(
         "-m",
         default=None,
-        help=f"m or LO:HI (default: the shipped range), at most {MAX_ORDER} values",
+        help=f"m or LO:HI (default: the shipped range), at most {MAX_ORDER} values; "
+        f"a table of more than {MAX_TABLE_CELLS} triangle cells (n(n + 1)/2 per m for "
+        "the largest n) is refused",
     )
     table.add_argument(
-        "-n", default="1:7", help=f"n or LO:HI (default 1:7), each n at most {MAX_ORDER}"
+        "-n",
+        default="1:7",
+        help=f"n or LO:HI (default 1:7), each n at most {MAX_ORDER}; see -m for the cell bound",
     )
     table.add_argument(
         "--mode",
@@ -432,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         required=True,
         help="ambient dimension; practical up to n = 7, and n = 6 with --method linear; "
-        f"a run predicted to pass {MAX_GAIN_WORK} blocks, set partitions and mask words, "
+        f"a run predicted to pass {MAX_GAIN_WORK} blocks and set partitions, "
         f"or {MAX_LINEAR_FLATS} flats, is refused",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")

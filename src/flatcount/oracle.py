@@ -144,22 +144,21 @@ def _block_levels(size: int, interval: GainInterval):
     again at its height, which is >= 0, gives the block back. Every block
     reached is connected, because a vertex adjacent to a connected block
     keeps the block connected. The heights a new position at index j can
-    take come from one prefix and one suffix union of the parent's gain
-    ranges, as a bit mask; a run of them gives children that step by the
-    field of index j, so each run is one set.update of a range. Only the
-    sorted parents and the set being grown are alive at once.
+    take are one bit mask, built per parent from one prefix and one suffix
+    union of the gain ranges of its own heights; a run of them gives children
+    that step by the field of index j, so each run is one set.update of a
+    range. Only the sorted parents and the set being grown are alive at once.
     """
     lo, hi = interval.lo, interval.hi
     span = max(abs(lo), abs(hi))
     width = _field_width(size, interval)
     field = (1 << width) - 1
-    # A reach mask has bit x set when height x >= 0 is adjacent to a placed
-    # position: up[h] covers [h + lo, h + hi], down[h] covers [h - hi, h - lo].
+    # A reach mask has bit x + span set when height x is adjacent to a placed
+    # position: one at height h reaches [h + lo, h + hi] from before the new
+    # one, up << h, and [h - hi, h - lo] from after it, down << h.
     window = (1 << (hi - lo + 1)) - 1
-    heights = range((size - 1) * span + 1)
-    up = [window << (h + lo + span) >> span for h in heights]
-    down = [window << (h - hi + span) >> span for h in heights]
-    runs = {}  # reach mask -> _runs of it
+    up, down = window << lo + span, window << span - hi
+    runs = {}  # reach mask -> _runs of its heights >= 0
     level = {0}
     yield level
     for r in range(2, size + 1):
@@ -174,15 +173,15 @@ def _block_levels(size: int, interval: GainInterval):
             # over those from j on.
             reach = [0]
             for h in vector:
-                reach.append(reach[-1] | up[h])
+                reach.append(reach[-1] | up << h)
             after = 0
             for j in range(r - 1, -1, -1):
                 mask = reach[j] | after
                 if j:
-                    after |= down[vector[j - 1]]
+                    after |= down << vector[j - 1]
                 spans = runs.get(mask)
                 if spans is None:
-                    spans = runs[mask] = _runs(mask)
+                    spans = runs[mask] = _runs(mask >> span)
                 place = places[j]
                 step = 1 << place
                 base = (packed >> place << place + width) | (packed & step - 1)

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from flatcount import cli
 from flatcount.dsl import MAX_EXPONENT_BITS, MAX_ITERATE_BITS
-from flatcount.oracle import GainInterval
+from flatcount.enumeration import set_partitions
+from flatcount.oracle import GainInterval, _block_levels, enumerate_flats_linear
 from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
@@ -88,6 +89,24 @@ def test_table_bounds_the_m_range(capsys):
     code, _, err = run(["table", "shi", "-m", "0:3", "-n", "1:3"], capsys)
     assert code == 2 and err.endswith("error: shi needs m >= 1\n")
     code, out, _ = run(["table", "catalan", "-m", "1:2000", "-n", "1:3"], capsys)
+    assert code == 0 and len(out.splitlines()) == 2001
+
+
+def test_table_bounds_its_triangle_cells(capsys):
+    # The m and n bounds alone admit 2000 triangles of size 2000: these two
+    # ran 31 s and 43 s, and -m 1:2000 -n 2000 would run for over an hour.
+    start = time.perf_counter()
+    for argv in (
+        ["table", "catalan", "-m", "1:10", "-n", "2000"],
+        ["table", "shi", "-m", "1:2000", "-n", "300"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.count("error:") == 1, err
+        assert err.endswith(f"error: a table builds at most {cli.MAX_TABLE_CELLS} triangle cells\n")
+    assert time.perf_counter() - start < 1
+    # 2000 m values of 1275 cells each pass.
+    code, out, _ = run(["table", "catalan", "-m", "1:2000", "-n", "1:50"], capsys)
     assert code == 0 and len(out.splitlines()) == 2001
 
 
@@ -609,7 +628,7 @@ def test_verify_rejects_negative_m_max(capsys):
 
 _GAIN_REFUSAL = (
     f"the gaingraph oracle would go through more than {cli.MAX_GAIN_WORK} "
-    "blocks, set partitions and mask words"
+    "blocks and set partitions"
 )
 _LINEAR_REFUSAL = f"the linear oracle would go through more than {cli.MAX_LINEAR_FLATS} flats"
 _MAX = cli.MAX_ORDER
@@ -620,13 +639,11 @@ _MAX = cli.MAX_ORDER
     [
         ("oracle catalan -m 1000000000 -n 3", _GAIN_REFUSAL),
         ("oracle catalan -m 100000 -n 4", _GAIN_REFUSAL),
-        ("oracle catalan -m 100000 -n 2", _GAIN_REFUSAL),  # the reach masks alone
         ("oracle shi -m 3 -n 12", _GAIN_REFUSAL),
         ("oracle braid -n 20", _GAIN_REFUSAL),
         ("oracle catalan -m 1000000000 -n 3 --method linear", _LINEAR_REFUSAL),
         ("oracle braid -n 14 --method linear", _LINEAR_REFUSAL),
         ("oracle braid -n 1000000000", f"n must be at most {_MAX}"),
-        ("verify --m-max 2000 --n-max 2", _GAIN_REFUSAL),
         ("verify --n-max 12", _GAIN_REFUSAL),
         ("verify --m-max 100000 --n-max 2", f"--n-max and --m-max must be at most {_MAX}"),
     ],
@@ -646,6 +663,50 @@ def test_oracle_and_verify_refuse_work_they_cannot_finish(argv, message):
     usage, error = proc.stderr.splitlines()
     assert usage.startswith("usage: flatcount ")
     assert error == f"flatcount: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "argv, last_line, lines",
+    [
+        ("oracle catalan -m 100000 -n 2", "200001 1", 1),
+        # Catalan m = 0..2000 and Shi m = 1..2000, one ok line each.
+        ("verify --m-max 2000 --n-max 2", "verification passed", 4002),
+    ],
+)
+def test_oracle_and_verify_run_large_m_at_small_n(argv, last_line, lines):
+    # The work is the 2m + 1 blocks on two labels per m, far inside
+    # MAX_GAIN_WORK; nothing of the oracle grows with m squared.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "flatcount", *argv.split()],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 2
+    assert (proc.returncode, proc.stderr) == (0, "")
+    out = proc.stdout.splitlines()
+    assert (len(out), out[-1]) == (lines, last_line)
+
+
+@pytest.mark.parametrize(
+    "family, m_values",
+    [("braid", [0]), ("catalan", [0, 1, 2, 3]), ("shi", [1, 2, 3])],
+)
+def test_oracle_work_is_the_oracles_own_output_size(family, m_values):
+    # The work rule knows the sizes of what the oracles build and nothing of
+    # how they build it: the gain oracle's blocks of every size up to n plus
+    # the set partitions of n labels, and the linear oracle's flats.
+    for m in m_values:
+        interval = cli.FAMILIES[family].interval(m)
+        for n in range(1, 7):
+            *_, gain_work = cli._oracle_work("gaingraph", family, m, n)
+            blocks = sum(map(len, _block_levels(n, interval)))
+            partitions = sum(1 for _ in set_partitions(range(n)))
+            assert gain_work == blocks + partitions, (family, m, n)
+            if n <= 5:
+                *_, flats = cli._oracle_work("linear", family, m, n)
+                assert flats == sum(enumerate_flats_linear(n, interval).values()), (m, n)
 
 
 def test_documented_oracle_runs_are_within_the_bounds(capsys, monkeypatch):
@@ -875,8 +936,11 @@ def test_family_commands_agree(family, capsys):
 # Fuzzed argv: a subcommand, its required arguments and any of its options,
 # in any order, with in-range and out-of-range values and at most one junk
 # token inserted anywhere. Junk holds no decimal digits and every option value
-# is bounded, so no command can read a size past its bound: oracle -n and
-# verify --n-max <= 4, count and table -n <= 60, --order <= 20, |m| <= 6.
+# is bounded, so no command can read a size past its bound: count and table
+# -n <= 60, --order <= 20, |m| <= 6. Oracle -n and verify --n-max also draw
+# 13..10^9 and their m 10^7..10^12 (verify 2001..10^12): every such run is
+# refused or trivial, because Bell(13) > 10^7 set partitions, and at m >= 10^7
+# the 2m + 1 or 2m blocks on two labels pass 10^7 too.
 _JUNK = st.sampled_from(["", "-", "--", "-x", "--bogus", ":", "x:y", "-h"]) | st.text(
     st.characters(blacklist_categories=("Nd", "Cs")), max_size=4
 )
@@ -917,11 +981,13 @@ def _arguments(command, files):
         return [_maybe(exprs.map(lambda expr: [expr])), _maybe(_option("--order", _ints(-6, 20))),
                 _maybe(_option("--file", st.sampled_from(files)))]
     if command == "oracle":
-        return [_FAMILY, _option("-n", _ints(-6, 4)), _maybe(_option("-m", _ints(-6, 6))),
+        return [_FAMILY, _option("-n", _ints(-6, 4) | _ints(13, 10**9)),
+                _maybe(_option("-m", _ints(-6, 6) | _ints(10**7, 10**12))),
                 _maybe(_option("--method", st.sampled_from(["gaingraph", "linear"])))]
     if command == "verify":
         # without --n-max, verify runs to n = 5, past the bound
-        return [_option("--n-max", _ints(-6, 4)), _maybe(_option("--m-max", _ints(-6, 6))),
+        return [_option("--n-max", _ints(-6, 4) | _ints(13, 10**9)),
+                _maybe(_option("--m-max", _ints(-6, 6) | _ints(2001, 10**12))),
                 _maybe(st.just(["--linear"]))]
     return []
 

@@ -1,5 +1,7 @@
 import copy
 import pickle
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -23,6 +25,7 @@ from flatcount.oracle import (
 )
 from flatcount.triangles import catalan_triangle, riordan_columns, shi_triangle
 from reference_counts import TRIANGLES_5
+from test_acceptance import _LAUNCHER
 
 
 def hf(mapping):
@@ -274,6 +277,30 @@ def test_flats_gain_keeps_no_blocks_of_size_n(monkeypatch):
     vectors = [tuple(h for _, h in b.items) for b in blocks]
     assert vectors == sorted(vectors)
     assert descending[4][1] == len(blocks)
+
+
+# Counts the flats of Catalan m = 100000 on two labels: 200,001 blocks of
+# size 2, each height at most 100000. The address space is capped at 1 GiB,
+# so a build that grows with the square of the heights fails fast with
+# MemoryError instead of filling the machine's memory.
+_LARGE_M_AT_N2 = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from flatcount.oracle import GainInterval, enumerate_flats_gain
+print(enumerate_flats_gain(2, GainInterval.catalan(100000)))
+"""
+
+
+def test_flats_gain_at_large_m_takes_memory_of_its_blocks_only():
+    # The peak RSS is the child's own rusage, read by the launcher of
+    # acceptance criterion 13.
+    command = [sys.executable, "-c", _LARGE_M_AT_N2]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *command], capture_output=True, timeout=60
+    )
+    code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
+    assert (code, proc.stdout) == (0, b"{1: 200001, 2: 1}\n"), proc.stderr
+    assert peak_kib / 1024 < 100, f"peak RSS {peak_kib / 1024:.1f} MB"
 
 
 def test_connected_blocks_do_not_depend_on_the_label_values():
