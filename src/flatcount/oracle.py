@@ -149,6 +149,10 @@ def _block_levels(size: int, interval: GainInterval):
     that step by the field of index j, so each run is one set.update of a
     range. Only the sorted parents and the set being grown are alive at once.
     """
+    level = {0}
+    yield level
+    if size == 1:
+        return  # one label has one block, {0}, at any m: build no window
     lo, hi = interval.lo, interval.hi
     span = max(abs(lo), abs(hi))
     width = _field_width(size, interval)
@@ -159,8 +163,6 @@ def _block_levels(size: int, interval: GainInterval):
     window = (1 << (hi - lo + 1)) - 1
     up, down = window << lo + span, window << span - hi
     runs = {}  # reach mask -> _runs of its heights >= 0
-    level = {0}
-    yield level
     for r in range(2, size + 1):
         parents = sorted(level)  # measured faster than the set's own order
         level = set()

@@ -35,6 +35,7 @@ from flatcount.triangles import (
     shi_triangle,
     total_flats,
 )
+from launcher import LAUNCHER
 from reference_counts import (
     BELL,
     BRAID_DIM1,
@@ -265,21 +266,6 @@ def test_criterion_12_linear_oracle_runtime():
     check(12, 0.5, "linear-algebra oracle for verify --linear's intervals, n = 5", body)
 
 
-# Starts the command given in argv, passes its stdout on, and writes its exit
-# code and peak RSS in KiB to stderr. A child's ru_maxrss also counts the
-# pages it shared with its parent before exec, so the test process, which
-# has grown by then, starts this small one to start the command.
-_LAUNCHER = """
-import os, subprocess, sys
-with subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE) as proc:
-    out = proc.stdout.read()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-sys.stdout.buffer.write(out)
-print(proc.returncode, usage.ru_maxrss, file=sys.stderr)
-"""
-
-
 def test_criterion_13_gain_oracle_memory_at_n7():
     # Shi m = 2 is the word with (p, q) = (2, 2). The peak RSS is the
     # command's own rusage: RUSAGE_CHILDREN would pool every earlier child.
@@ -288,7 +274,7 @@ def test_criterion_13_gain_oracle_memory_at_n7():
 
     def body():
         proc = subprocess.run(
-            [sys.executable, "-c", _LAUNCHER, *command], capture_output=True, check=True
+            [sys.executable, "-c", LAUNCHER, *command], capture_output=True, check=True
         )
         code, peak_kib = map(int, proc.stderr.split())
         assert (code, proc.stdout) == (0, " ".join(map(str, column)).encode() + b"\n")

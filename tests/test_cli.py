@@ -668,14 +668,17 @@ def test_oracle_and_verify_refuse_work_they_cannot_finish(argv, message):
 @pytest.mark.parametrize(
     "argv, last_line, lines",
     [
+        ("oracle catalan -m 1000000000000 -n 1", "1", 1),
+        ("oracle shi -m 1000000000000 -n 1", "1", 1),
         ("oracle catalan -m 100000 -n 2", "200001 1", 1),
         # Catalan m = 0..2000 and Shi m = 1..2000, one ok line each.
         ("verify --m-max 2000 --n-max 2", "verification passed", 4002),
     ],
 )
 def test_oracle_and_verify_run_large_m_at_small_n(argv, last_line, lines):
-    # The work is the 2m + 1 blocks on two labels per m, far inside
-    # MAX_GAIN_WORK; nothing of the oracle grows with m squared.
+    # The work is the one block on one label, or the 2m + 1 blocks on two
+    # labels per m, far inside MAX_GAIN_WORK; nothing of the oracle grows
+    # with m squared, nor with m at all on one label.
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "flatcount", *argv.split()],
@@ -939,8 +942,9 @@ def test_family_commands_agree(family, capsys):
 # is bounded, so no command can read a size past its bound: count and table
 # -n <= 60, --order <= 20, |m| <= 6. Oracle -n and verify --n-max also draw
 # 13..10^9 and their m 10^7..10^12 (verify 2001..10^12): every such run is
-# refused or trivial, because Bell(13) > 10^7 set partitions, and at m >= 10^7
-# the 2m + 1 or 2m blocks on two labels pass 10^7 too.
+# refused or cheap. Bell(13) > 10^7 set partitions; at n >= 2 and m >= 10^7
+# the 2m + 1 or 2m blocks on two labels pass 10^7 too; verify refuses
+# --m-max past 2000; and oracle -n 1 has one block, built without any mask.
 _JUNK = st.sampled_from(["", "-", "--", "-x", "--bogus", ":", "x:y", "-h"]) | st.text(
     st.characters(blacklist_categories=("Nd", "Cs")), max_size=4
 )

@@ -24,8 +24,8 @@ from flatcount.oracle import (
     _meet_plan,
 )
 from flatcount.triangles import catalan_triangle, riordan_columns, shi_triangle
+from launcher import LAUNCHER
 from reference_counts import TRIANGLES_5
-from test_acceptance import _LAUNCHER
 
 
 def hf(mapping):
@@ -292,11 +292,10 @@ print(enumerate_flats_gain(2, GainInterval.catalan(100000)))
 
 
 def test_flats_gain_at_large_m_takes_memory_of_its_blocks_only():
-    # The peak RSS is the child's own rusage, read by the launcher of
-    # acceptance criterion 13.
+    # The peak RSS is the child's own rusage, read by the shared launcher.
     command = [sys.executable, "-c", _LARGE_M_AT_N2]
     proc = subprocess.run(
-        [sys.executable, "-c", _LAUNCHER, *command], capture_output=True, timeout=60
+        [sys.executable, "-c", LAUNCHER, *command], capture_output=True, timeout=60
     )
     code, peak_kib = map(int, proc.stderr.splitlines()[-1].split())
     assert (code, proc.stdout) == (0, b"{1: 200001, 2: 1}\n"), proc.stderr
