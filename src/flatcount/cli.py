@@ -17,8 +17,9 @@ bits (exit 3). `count`, `table`, `oracle` and `verify` refuse an n above
 MAX_ORDER, `table` an m range of more than MAX_ORDER values or more than
 MAX_TABLE_CELLS triangle cells, and `verify` an --m-max above MAX_ORDER
 (exit 2). `oracle` and `verify` also refuse a run whose predicted blocks
-and set partitions pass MAX_GAIN_WORK, or flats pass MAX_LINEAR_FLATS
-(exit 2).
+and set partitions pass MAX_GAIN_WORK, or flats and meet plans pass
+MAX_LINEAR_WORK (exit 2). `verify` checks each oracle run against the
+formula's counts.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .record import Record
 from .species import CompositionConstantTerm
 from .triangles import DEFAULT_ORDER, riordan_columns
 
-# `verify --linear` checks the linear oracle up to this n: n = 5 takes about
-# 0.1 s for the three intervals, n = 6 about 0.5-0.7 s for [-1, 1] and 2-3 s
-# for [-1, 2].
+# `verify --linear` checks the linear oracle up to this n: n = 1..5 take
+# about 0.13 s for the three intervals, n = 6 about 0.56 s for [-1, 1] and
+# 1.3-1.7 s for [-1, 2] on a 2-core VM.
 LINEAR_N_MAX = 5
 # The largest `eval --order`, the largest n of `count` and `table`, and the
 # most m values of one `table`.
@@ -67,13 +68,16 @@ MAX_DIGITS = 100_000
 _MAX_BITS = ceil(MAX_DIGITS * log2(10))
 # The most work `oracle` and `verify` start, predicted by _oracle_work: for
 # the gain-graph oracle its blocks and set partitions, for the linear oracle
-# its flats. Near the bounds, `oracle catalan -m 3 -n 7` (9,340,094 units)
-# takes 11-16 s and 600 MB, and `oracle braid -n 9 --method linear` (21,147
-# flats) 10 s and 24 MB on a 2-core VM. The largest documented commands,
-# `verify --n-max 7` and `oracle shi -m 2 -n 6 --method linear`, predict
-# 5,492,472 units and 62,701 flats.
+# its flats and meet plans. Near the bounds, `oracle catalan -m 3 -n 7`
+# (9,340,094 units) takes 10.6-16 s and 600 MB on a 2-core VM. The slowest
+# linear runs admitted, `oracle shi -m 2 -n 6 --method linear` (65,731
+# units) and `oracle catalan -m 4 -n 5 --method linear` (73,362), take
+# 1.2-1.5 s and 23 MB; braid's plans, (Bell(n) - 1) n(n - 1)/2, refuse
+# `oracle braid -n 8 --method linear` (120,032 units, 1 s of work). The
+# largest documented commands, `verify --n-max 7` and `oracle shi -m 2 -n 6
+# --method linear`, predict 5,492,472 and 65,731 units.
 MAX_GAIN_WORK = 10**7
-MAX_LINEAR_FLATS = 10**5
+MAX_LINEAR_WORK = 10**5
 
 
 class Family(Record):
@@ -117,22 +121,27 @@ def _oracle_work(method: str, family: str, m: int, n: int) -> Iterator[int]:
     """Lower bounds of the work of one oracle run on the family's
     n-dimensional arrangement, one for each r = 1..n, rising to the exact
     prediction: for the linear method the flats of dimension r's
-    arrangement; for the gain method the blocks of sizes 1..r plus the
-    Bell(r) set partitions of r labels.
+    arrangement plus its (Bell(r) - 1) r(r - 1)/2 meet plans, one for each
+    linear part of a flat of rank below r - 1 and each pair i < j; for the
+    gain method the blocks of sizes 1..r plus the Bell(r) set partitions of
+    r labels. A `verify` run, one oracle for n = n_top..1, is predicted by
+    its n_top alone: the gain oracle grows no block again for the smaller n
+    and visits fewer set partitions, and the linear oracle's smaller n
+    together come to at most a third of n_top's.
     """
-    columns = formula_triangle(family, m, n)
-    if method == "linear":
-        yield from map(sum, columns)
-        return
+    columns = zip(formula_triangle(family, m, n), formula_triangle("braid", 0, n))
     work = 0
-    for column, partitions in zip(columns, formula_triangle("braid", 0, n)):
-        work += column[0]  # the T(r, 1) connected blocks on r labels
-        yield work + sum(partitions)
+    for r, (column, partitions) in enumerate(columns, 1):
+        if method == "linear":
+            yield sum(column) + (sum(partitions) - 1) * r * (r - 1) // 2
+        else:
+            work += column[0]  # the T(r, 1) connected blocks on r labels
+            yield work + sum(partitions)
 
 
 def _check_work(runs, parser) -> None:
     """Refuse, before any of them starts, oracle runs (method, family, m, n)
-    whose predicted work passes MAX_GAIN_WORK or MAX_LINEAR_FLATS in sum.
+    whose predicted work passes MAX_GAIN_WORK or MAX_LINEAR_WORK in sum.
     The sum stops as soon as it passes, so a long list is refused at once,
     and a large n before its columns are built.
 
@@ -142,7 +151,7 @@ def _check_work(runs, parser) -> None:
     """
     bounds = {
         "gaingraph": (MAX_GAIN_WORK, "blocks and set partitions"),
-        "linear": (MAX_LINEAR_FLATS, "flats"),
+        "linear": (MAX_LINEAR_WORK, "flats and meet plans"),
     }
     spent = dict.fromkeys(bounds, 0)
     for method, family, m, n in runs:
@@ -299,15 +308,16 @@ def cmd_eval(args, parser) -> int:
     return 0
 
 
+def _oracle(method: str):
+    """The oracle of `--method`, looked up when called."""
+    return enumerate_flats_linear if method == "linear" else enumerate_flats_gain
+
+
 def cmd_oracle(args, parser) -> int:
     m = _check_family_m(args.family, args.m, parser)
     _check_n(args.n, args.n, parser)
     _check_work([(args.method, args.family, m, args.n)], parser)
-    interval = FAMILIES[args.family].interval(m)
-    if args.method == "linear":
-        counts = enumerate_flats_linear(args.n, interval)
-    else:
-        counts = enumerate_flats_gain(args.n, interval)
+    counts = _oracle(args.method)(args.n, FAMILIES[args.family].interval(m))
     print(" ".join(str(counts.get(k, 0)) for k in range(1, args.n + 1)))
     return 0
 
@@ -323,56 +333,42 @@ def cmd_verify(args, parser) -> int:
         parser.error("--m-max must be nonnegative")
     if max(args.n_max, args.m_max or 0) > MAX_ORDER:
         parser.error(f"--n-max and --m-max must be at most {MAX_ORDER}")
-    plans = []
+    runs = []  # (method, family, m, n_top): one oracle for n = n_top..1
     for name, family in FAMILIES.items():
         if family.verify_m_max is not None:
             m_max = family.verify_m_max if args.m_max is None else args.m_max
-            plans += [(name, m) for m in range(family.m_min, m_max + 1)]
-    n_linear = min(LINEAR_N_MAX, args.n_max)
-    linear_plans = _LINEAR_PLANS if args.linear else ()
-    # Each family and m is one gain run at n_max: the smaller n grow no
-    # block again and visit fewer set partitions than n_max does.
-    runs = [("gaingraph", family, m, args.n_max) for family, m in plans]
-    runs += [
-        (method, family, m, n_linear)
-        for family, m in linear_plans
-        for method in ("gaingraph", "linear")
-    ]
+            runs += [("gaingraph", name, m, args.n_max) for m in range(family.m_min, m_max + 1)]
+    if args.linear:
+        n_linear = min(LINEAR_N_MAX, args.n_max)
+        runs += [("linear", family, m, n_linear) for family, m in _LINEAR_PLANS]
     _check_work(runs, parser)
     mismatches = 0
-    for family, m in plans:
+    for method, family, m, n_top in runs:
         interval = FAMILIES[family].interval(m)
-        family_ok = True
-        # n_max first: its block counts cover every smaller n, so the
+        oracle = _oracle(method)
+        # n_top first: its gain blocks cover every smaller n, so the
         # smaller n grow no block again.
-        got_by_n = [enumerate_flats_gain(n, interval) for n in range(args.n_max, 0, -1)][::-1]
-        for n, expected in enumerate(formula_triangle(family, m, args.n_max), start=1):
-            got = got_by_n[n - 1]
-            for k in range(1, n + 1):
-                if expected[k - 1] != got.get(k, 0):
-                    print(
-                        f"mismatch family={family} m={m} n={n} k={k} "
-                        f"expected={expected[k - 1]} got={got.get(k, 0)}"
+        got_by_n = [oracle(n, interval) for n in range(n_top, 0, -1)][::-1]
+        lines = []
+        for n, (column, got) in enumerate(zip(formula_triangle(family, m, n_top), got_by_n), 1):
+            expected = dict(enumerate(column, 1))
+            if method == "linear":
+                if got != expected:
+                    lines.append(
+                        f"mismatch linear A={interval} n={n} expected={expected} got={got}"
                     )
-                    mismatches += 1
-                    family_ok = False
-        if family_ok:
-            print(f"ok {family} m={m} n<={args.n_max}")
-    for family, m in linear_plans:
-        interval = FAMILIES[family].interval(m)
-        interval_ok = True
-        for n in range(1, n_linear + 1):
-            from_rows = enumerate_flats_linear(n, interval)
-            from_heights = enumerate_flats_gain(n, interval)
-            if from_rows != from_heights:
-                print(
-                    f"mismatch linear A={interval} n={n} "
-                    f"expected={from_heights} got={from_rows}"
-                )
-                mismatches += 1
-                interval_ok = False
-        if interval_ok:
-            print(f"ok linear A={interval} n<={n_linear}")
+            else:
+                lines += [
+                    f"mismatch family={family} m={m} n={n} k={k} "
+                    f"expected={count} got={got.get(k, 0)}"
+                    for k, count in expected.items()
+                    if count != got.get(k, 0)
+                ]
+        mismatches += len(lines)
+        if not lines:
+            what = f"linear A={interval}" if method == "linear" else f"{family} m={m}"
+            lines = [f"ok {what} n<={n_top}"]
+        print("\n".join(lines))
     if mismatches:
         print(f"verification FAILED: {mismatches} mismatch(es)")
         return 1
@@ -442,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="ambient dimension; practical up to n = 7, and n = 6 with --method linear; "
         f"a run predicted to pass {MAX_GAIN_WORK} blocks and set partitions, "
-        f"or {MAX_LINEAR_FLATS} flats, is refused",
+        f"or {MAX_LINEAR_WORK} flats and meet plans, is refused",
     )
     orc.add_argument("--method", choices=("gaingraph", "linear"), default="gaingraph")
 
@@ -459,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--linear",
         action="store_true",
-        help=f"also cross-check the linear oracle, for n up to min(--n-max, {LINEAR_N_MAX})",
+        help=f"also check the linear oracle against the formulas, for n up to "
+        f"min(--n-max, {LINEAR_N_MAX})",
     )
 
     return parser

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from flatcount import cli
 from flatcount.dsl import MAX_EXPONENT_BITS, MAX_ITERATE_BITS
 from flatcount.enumeration import set_partitions
-from flatcount.oracle import GainInterval, _block_levels, enumerate_flats_linear
+from flatcount.oracle import GainInterval, _block_levels, _meet_plan, enumerate_flats_linear
 from flatcount.triangles import catalan_triangle, shi_triangle
 from reference_counts import BRAID_TOTALS, SHI_TOTALS, TRIANGLES_5
 
@@ -610,6 +610,59 @@ def test_verify_reports_injected_fault(capsys, monkeypatch):
     assert "verification FAILED" in out
 
 
+def test_verify_checks_the_linear_oracle_against_the_formula(capsys, monkeypatch):
+    formula_triangle = cli.formula_triangle
+
+    def faulty(family, m, size):
+        for n, column in enumerate(formula_triangle(family, m, size), start=1):
+            if family == "catalan" and m == 1 and n == 3:
+                column = (column[0] + 1, *column[1:])  # T(k=1, n=3)
+            yield column
+
+    monkeypatch.setattr(cli, "formula_triangle", faulty)
+    code, out, _ = run(["verify", "--n-max", "3", "--linear"], capsys)
+    assert code == 1
+    mismatches = [line for line in out.splitlines() if line.startswith("mismatch")]
+    assert mismatches == [
+        "mismatch family=catalan m=1 n=3 k=1 expected=14 got=13",
+        "mismatch linear A=[-1,1] n=3 expected={1: 14, 2: 9, 3: 1} got={1: 13, 2: 9, 3: 1}",
+    ]
+    assert out.endswith("verification FAILED: 2 mismatch(es)\n")
+
+
+@pytest.mark.parametrize("argv", ["verify --n-max 4 --linear", "verify --m-max 0 --linear"])
+def test_verify_checks_the_work_of_the_runs_it_makes(argv, capsys, monkeypatch):
+    # The work rule reads the very list of runs that verify goes through:
+    # each run calls its own oracle for n = n_top..1 and nothing else, so a
+    # linear run calls no gain oracle.
+    checked, calls = [], []
+    check_work = cli._check_work
+
+    def recorded_check(runs, parser):
+        checked.append(list(runs))
+        check_work(runs, parser)
+
+    def recorded(method, name):
+        oracle = getattr(cli, name)
+
+        def call(n, interval):
+            calls.append((method, interval, n))
+            return oracle(n, interval)
+
+        monkeypatch.setattr(cli, name, call)
+
+    monkeypatch.setattr(cli, "_check_work", recorded_check)
+    recorded("gaingraph", "enumerate_flats_gain")
+    recorded("linear", "enumerate_flats_linear")
+    code, out, _ = run(argv.split(), capsys)
+    assert (code, out.count("ok linear "), len(checked)) == (0, 3, 1)
+    assert calls == [
+        (method, cli.FAMILIES[family].interval(m), n)
+        for method, family, m, n_top in checked[0]
+        for n in range(n_top, 0, -1)
+    ]
+
+
 def test_console_entry_point_bytes():
     proc = subprocess.run(
         [sys.executable, "-m", "flatcount", "count", "catalan", "-m", "2", "-n", "5"],
@@ -630,7 +683,9 @@ _GAIN_REFUSAL = (
     f"the gaingraph oracle would go through more than {cli.MAX_GAIN_WORK} "
     "blocks and set partitions"
 )
-_LINEAR_REFUSAL = f"the linear oracle would go through more than {cli.MAX_LINEAR_FLATS} flats"
+_LINEAR_REFUSAL = (
+    f"the linear oracle would go through more than {cli.MAX_LINEAR_WORK} flats and meet plans"
+)
 _MAX = cli.MAX_ORDER
 
 
@@ -643,6 +698,10 @@ _MAX = cli.MAX_ORDER
         ("oracle braid -n 20", _GAIN_REFUSAL),
         ("oracle catalan -m 1000000000 -n 3 --method linear", _LINEAR_REFUSAL),
         ("oracle braid -n 14 --method linear", _LINEAR_REFUSAL),
+        # Braid's flats are few, but the linear oracle plans a meet for each
+        # of their linear parts and each pair i < j.
+        ("oracle braid -n 8 --method linear", _LINEAR_REFUSAL),
+        ("oracle braid -n 9 --method linear", _LINEAR_REFUSAL),
         ("oracle braid -n 1000000000", f"n must be at most {_MAX}"),
         ("verify --n-max 12", _GAIN_REFUSAL),
         ("verify --m-max 100000 --n-max 2", f"--n-max and --m-max must be at most {_MAX}"),
@@ -696,10 +755,18 @@ def test_oracle_and_verify_run_large_m_at_small_n(argv, last_line, lines):
     "family, m_values",
     [("braid", [0]), ("catalan", [0, 1, 2, 3]), ("shi", [1, 2, 3])],
 )
-def test_oracle_work_is_the_oracles_own_output_size(family, m_values):
+def test_oracle_work_is_the_oracles_own_output_size(family, m_values, monkeypatch):
     # The work rule knows the sizes of what the oracles build and nothing of
     # how they build it: the gain oracle's blocks of every size up to n plus
-    # the set partitions of n labels, and the linear oracle's flats.
+    # the set partitions of n labels, and the linear oracle's flats plus its
+    # meet plans.
+    plans = []
+
+    def counted(rows, direction):
+        plans.append(rows)
+        return _meet_plan(rows, direction)
+
+    monkeypatch.setattr("flatcount.oracle._meet_plan", counted)
     for m in m_values:
         interval = cli.FAMILIES[family].interval(m)
         for n in range(1, 7):
@@ -708,8 +775,10 @@ def test_oracle_work_is_the_oracles_own_output_size(family, m_values):
             partitions = sum(1 for _ in set_partitions(range(n)))
             assert gain_work == blocks + partitions, (family, m, n)
             if n <= 5:
-                *_, flats = cli._oracle_work("linear", family, m, n)
-                assert flats == sum(enumerate_flats_linear(n, interval).values()), (m, n)
+                plans.clear()
+                flats = sum(enumerate_flats_linear(n, interval).values())
+                *_, linear_work = cli._oracle_work("linear", family, m, n)
+                assert linear_work == flats + len(plans), (family, m, n)
 
 
 def test_documented_oracle_runs_are_within_the_bounds(capsys, monkeypatch):
