@@ -22,12 +22,19 @@ parent. In the Catalan case the cut level is the gap itself; in the Shi
 case it is the gap plus one when the lower block's minimum exceeds the upper
 block's maximum, so a gap of m with that descent, like any gap above m,
 leaves no valid cut and the height function is not a flat.
+
+The inverse maps still assemble every tree, but return the equal structure
+object that the enumeration already holds whenever there is one, so the
+results of many round trips share the enumeration's trees and subtrees
+instead of each holding a copy. Only structures whose labels are all exact
+ints are shared, as with the (label, height) pairs of HeightFunction: a
+table keyed by equality would give the label True the structures of 1.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from operator import itemgetter
 
 from .enumeration import ordered_set_partitions
@@ -104,45 +111,55 @@ def shi_structure_to_height(s) -> HeightFunction:
 
 
 def _levels(h: HeightFunction):
-    """Blocks of equal height in increasing height order, with the gap sequence.
+    """Blocks of equal height in increasing height order, the gap sequence,
+    and whether every label is an exact int.
 
     Each block lists its labels ascending: h.items is sorted by label, and
     the sort by height is stable.
     """
     blocks, gaps = [], []
     last = None
+    exact = True
     for v, height in sorted(h.items, key=itemgetter(1)):
-        if height == last:
-            block.append(v)
-            continue
-        if blocks:
-            gaps.append(height - last)
-        block = [v]
-        blocks.append(block)
-        last = height
-    return blocks, gaps
+        if height != last:
+            if blocks:
+                gaps.append(height - last)
+            block = []
+            blocks.append(block)
+            last = height
+        block.append(v)
+        if type(v) is not int:
+            exact = False
+    return blocks, gaps, exact
 
 
 def _assemble(leaf_runs, cuts, m):
     """The depth-m structure whose height-1 nodes hold the leaf runs in order.
 
-    Keeps one open child list per height 1..m. A cut of level c before a run
-    closes the open nodes of heights 1..c-1, each into its parent, so the run
-    starts a new subtree under the open node of height c. The last step
-    closes every node below the root.
+    Keeps one open child list per height 1..m, the node of height t at
+    index t - 1. A cut of level c before a run closes the open nodes of
+    heights 1..c-1, each into its parent, so the run starts a new subtree
+    under the open node of height c. The last step closes every node below
+    the root. The tree is built anew each time; the inverse maps then return
+    the equal structure from _ENUMERATED in its place, when there is one and
+    the labels are exact ints.
     """
-    open_nodes = [[] for _ in range(m + 1)]
-    bottom = open_nodes[1]
+    open_nodes = [[] for _ in range(m)]
+    bottom = open_nodes[0]
     bottom += leaf_runs[0]
-    for run, c in zip(leaf_runs[1:], cuts):
+    for run, c in zip(islice(leaf_runs, 1, None), cuts):
         if c > 1:
-            for t in range(1, c):
-                open_nodes[t + 1].append(tuple(open_nodes[t]))
-                open_nodes[t].clear()
+            below = bottom
+            for node in open_nodes[1:c]:
+                node.append(tuple(below))
+                below.clear()
+                below = node
         bottom += run
-    for t in range(1, m):
-        open_nodes[t + 1].append(tuple(open_nodes[t]))
-    return tuple(open_nodes[m])
+    below = bottom
+    for node in open_nodes[1:]:
+        node.append(tuple(below))
+        below = node
+    return tuple(below)
 
 
 def height_to_catalan_structure(h: HeightFunction, m: int):
@@ -155,15 +172,12 @@ def height_to_catalan_structure(h: HeightFunction, m: int):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    blocks, gaps = _levels(h)
+    blocks, gaps, exact = _levels(h)
     if gaps and max(gaps) > m:
         raise NotConnected(f"gap {max(gaps)} exceeds {m}")
-    # Each leaf run is the cached depth-0 structure on its block, the object
-    # the enumerated structures hold, so a round trip allocates no leaf.
-    runs = [_structures(tuple(block), 0, _set_leaf) for block in blocks]
-    if m == 0:
-        return runs[0][0]
-    return _assemble(runs, gaps, m)
+    runs = [(frozenset(block),) for block in blocks]
+    s = runs[0][0] if m == 0 else _assemble(runs, gaps, m)
+    return _ENUMERATED.get(s, s) if exact else s
 
 
 def height_to_shi_structure(h: HeightFunction, m: int):
@@ -179,7 +193,7 @@ def height_to_shi_structure(h: HeightFunction, m: int):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    blocks, gaps = _levels(h)
+    blocks, gaps, exact = _levels(h)
     if gaps and max(gaps) > m:
         raise NotConnected(f"gap {max(gaps)} exceeds {m}")
     cuts = []
@@ -191,7 +205,8 @@ def height_to_shi_structure(h: HeightFunction, m: int):
                 "needs an increasing pair across it"
             )
         cuts.append(c)
-    return _assemble([block[::-1] for block in blocks], cuts, m)
+    s = _assemble([block[::-1] for block in blocks], cuts, m)
+    return _ENUMERATED.get(s, s) if exact else s
 
 
 def _set_leaf(labels):
@@ -204,18 +219,33 @@ def _permutations(labels):
     return tuple(permutations(labels))
 
 
-@lru_cache(maxsize=None)
-def _structures(labels: tuple[int, ...], depth: int, base):
+# Every structure _structures has returned on labels that are all exact ints,
+# mapped to itself. The inverse maps return these objects, whose subtrees the
+# enumeration already shares, in place of the equal trees they assemble.
+_ENUMERATED: dict = {}
+
+
+# typed=True keys the cache on the type of every label as well, because the
+# labels are passed one by one: a key of equal labels alone would give the
+# label True the structures of 1.
+@lru_cache(maxsize=None, typed=True)
+def _structures(depth: int, base, *labels):
     """Structures with `depth` levels of ordered set partitions above the
     base case base(block): _set_leaf gives the depth-`depth` Catalan
-    structures, _permutations the depth-(`depth` + 1) Shi ones."""
+    structures, _permutations the depth-(`depth` + 1) Shi ones. When every
+    label is an exact int, each of them, the depth-0 ones included, goes
+    into _ENUMERATED."""
     if depth == 0:
-        return base(labels)
-    out = []
-    for parts in ordered_set_partitions(labels):
-        children = [_structures(block, depth - 1, base) for block in parts]
-        out.extend(product(*children))
-    return tuple(out)
+        out = base(labels)
+    else:
+        out = []
+        for parts in ordered_set_partitions(labels):
+            children = [_structures(depth - 1, base, *block) for block in parts]
+            out.extend(product(*children))
+        out = tuple(out)
+    if all(type(v) is int for v in labels):
+        _ENUMERATED.update(zip(out, out))
+    return out
 
 
 def enumerate_catalan_structures(labels, m: int):
@@ -224,7 +254,7 @@ def enumerate_catalan_structures(labels, m: int):
     key = sorted_labels(labels)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _structures(key, m, _set_leaf)
+    return _structures(m, _set_leaf, *key)
 
 
 def enumerate_nested_lists(labels, m: int):
@@ -232,4 +262,4 @@ def enumerate_nested_lists(labels, m: int):
     key = sorted_labels(labels)
     if m < 1:
         raise ValueError("m must be positive")
-    return _structures(key, m - 1, _permutations)
+    return _structures(m - 1, _permutations, *key)

@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
 from flatcount.bijections import (
+    _ENUMERATED,
     NotConnected,
     catalan_structure_to_height,
     enumerate_catalan_structures,
@@ -16,6 +19,7 @@ from flatcount.bijections import (
 from flatcount.enumeration import set_partitions
 from flatcount.oracle import GainInterval, HeightFunction, enumerate_connected_blocks, enumerate_flats_gain
 from flatcount.triangles import catalan_triangle, shi_triangle
+from launcher import LAUNCHER
 
 # The two worked examples used throughout: a depth-2 set-leaf structure and
 # a depth-3 singleton-leaf structure on nine labels.
@@ -228,6 +232,91 @@ def test_round_trip_and_image_m3_scattered_labels(family):
         assert images == {b.items for b in blocks}
         for block in blocks:
             assert to_height(to_structure(block, 3)) == block
+
+
+ROUND_TRIP_CASES = [("catalan", m) for m in range(0, 4)] + [("shi", m) for m in range(1, 4)]
+
+
+@pytest.mark.parametrize("family,m", ROUND_TRIP_CASES)
+def test_round_trip_returns_the_enumerated_structures(family, m):
+    # The inverse maps hand back the enumeration's own objects, whose
+    # subtrees are shared, in place of the equal trees they assemble.
+    _, enumerate_structs, to_height, to_structure = FAMILIES[family]
+    for s in enumerate_structs(range(1, 6), m):
+        assert to_structure(to_height(s), m) is s
+
+
+def _relabel(s, label):
+    """The structure s with each label v replaced by label(v)."""
+    if isinstance(s, frozenset):
+        return frozenset(map(label, s))
+    if isinstance(s, tuple):
+        return tuple(_relabel(child, label) for child in s)
+    return label(s)
+
+
+def _labels(s):
+    """The labels of s, sorted, each as its repr so that True and 1 differ."""
+    if isinstance(s, (frozenset, tuple)):
+        return sorted(label for child in s for label in _labels(child))
+    return [repr(s)]
+
+
+@pytest.mark.parametrize("family,m", ROUND_TRIP_CASES)
+def test_round_trip_on_labels_never_enumerated_leaves_the_table(family, m):
+    # A structure that was never enumerated comes back as it is built, and
+    # the table of enumerated structures does not grow.
+    _, enumerate_structs, to_height, to_structure = FAMILIES[family]
+    primes = dict(zip(range(1, 6), (2, 3, 5, 7, 11)))
+    structures = [_relabel(s, primes.get) for s in enumerate_structs(range(1, 6), m)]
+    assert not any(s in _ENUMERATED for s in structures)
+    size = len(_ENUMERATED)
+    for s in structures:
+        assert to_structure(to_height(s), m) == s
+    assert len(_ENUMERATED) == size
+
+
+@pytest.mark.parametrize("family,m", [("catalan", 0), ("catalan", 2), ("shi", 1), ("shi", 2)])
+def test_labels_that_are_not_exact_ints_keep_their_type(family, m):
+    # True == 1 and both hash alike, so a table keyed by equality would hand
+    # a structure on True the one on 1. Enumerate the int labels first.
+    _, enumerate_structs, to_height, to_structure = FAMILIES[family]
+    ints = enumerate_structs((1, 2, 3), m)
+    with_bool = [_relabel(s, lambda v: True if v == 1 else v) for s in ints]
+    for s in with_bool:
+        back = to_structure(to_height(s), m)
+        assert back == s
+        assert _labels(back) == _labels(s) == ["2", "3", "True"]
+    assert [_labels(s) for s in enumerate_structs((True, 2, 3), m)] == [
+        _labels(s) for s in with_bool
+    ]
+    assert [_labels(s) for s in enumerate_structs((1, 2, 3), m)] == [_labels(s) for s in ints]
+    h = HeightFunction(((True, 0), (2, 0)))
+    assert _labels(to_structure(h, m)) == ["2", "True"]
+
+
+def test_round_trip_memory_catalan_m4():
+    # Every Catalan m = 4 structure on 5 labels, kept alive with its height
+    # function and its round trip. The round trips are the enumerated
+    # structures, so they add no trees: 29 MB, where a copy of each tree
+    # took it to 49 MB. The peak RSS is the child's own rusage.
+    child = (
+        "from flatcount.bijections import catalan_structure_to_height as to_height, "
+        "enumerate_catalan_structures, height_to_catalan_structure as to_structure\n"
+        "structures = enumerate_catalan_structures(range(1, 6), 4)\n"
+        "heights = [to_height(s) for s in structures]\n"
+        "back = [to_structure(h, 4) for h in heights]\n"
+        "assert back == list(structures)\n"
+        "print(len(back))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", child],
+        capture_output=True,
+        check=True,
+    )
+    code, peak_kib = map(int, proc.stderr.split())
+    assert (code, proc.stdout) == (0, b"48601\n")
+    assert peak_kib / 1024 < 38, f"peak RSS {peak_kib / 1024:.1f} MB"
 
 
 # Reference for the inverse maps: split the blocks of equal height
